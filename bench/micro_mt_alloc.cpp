@@ -26,6 +26,7 @@
 
 #include "bench_json.hpp"
 #include "pmemkit/pmemkit.hpp"
+#include "pmemkit/splitmix.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
@@ -37,14 +38,6 @@ constexpr int kMaxThreads = 64;
 struct BenchRoot {
   pk::ObjId slots[kMaxThreads];
 };
-
-/// splitmix64: cheap per-thread operation mixer.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct RunResult {
   double mops = 0;  ///< operations per second, millions
@@ -63,7 +56,8 @@ RunResult run_once(const fs::path& path, int threads, std::uint64_t ops) {
     workers.emplace_back([&pool, t, ops] {
       auto* root = pool->direct(pool->root<BenchRoot>());
       for (std::uint64_t i = 0; i < ops; ++i) {
-        const std::uint64_t r = mix((std::uint64_t{static_cast<std::uint32_t>(t)} << 32) | i);
+        const std::uint64_t r = pk::splitmix64(
+            (std::uint64_t{static_cast<std::uint32_t>(t)} << 32) | i);
         const unsigned pick = r % 100;
         if (pick < 60) {
           // Small alloc/free pair; size spreads across run classes.

@@ -24,7 +24,6 @@ bool volatile_allowed(const PoolSpec& spec, const MemorySpace& s) {
 
 pmemkit::PoolOptions options_of(const PoolSpec& spec) {
   pmemkit::PoolOptions options;
-  options.track_shadow = spec.track_shadow;
   options.migrate = spec.migrate;
   options.pmemcheck = spec.pmemcheck;
   return options;

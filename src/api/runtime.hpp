@@ -50,8 +50,6 @@ struct PoolSpec {
   /// namespaces never need this: exposing DRAM as pmem0/pmem1 was already
   /// the operator's opt-in, exactly like the paper's emulated mounts.
   bool allow_volatile = false;
-  /// Maintain the crash-consistency shadow image (slower; for tests).
-  bool track_shadow = false;
   /// Open-time layout upgrade: a version-1 pool image (or one carrying an
   /// interrupted migration marker) is migrated in place to the current
   /// layout before the open completes.  Without it such images come back

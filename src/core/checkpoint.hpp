@@ -74,7 +74,7 @@ class CheckpointStore {
  public:
   /// Opens (or creates) pool `file` in `ns`, sized to hold two payloads of
   /// up to `max_payload_bytes`.  `allow_volatile` forwards to the namespace
-  /// persistence check; `pool_options` allows shadow-tracked stores for
+  /// persistence check; `pool_options` can attach the PmemSan model for
   /// crash testing; `options` sets the incremental-engine knobs.
   CheckpointStore(DaxNamespace& ns, const std::string& file,
                   std::uint64_t max_payload_bytes,

@@ -30,11 +30,11 @@ struct HookGuard {
 
 }  // namespace
 
-std::unique_ptr<ObjectPool> CrashSimulator::fresh_pool(bool track_shadow,
+std::unique_ptr<ObjectPool> CrashSimulator::fresh_pool(bool pmemcheck,
                                                        const PoolFn& setup) {
   remove_if_exists(config_.pool_path);
   ObjectPool::Options opts;
-  opts.track_shadow = track_shadow;
+  opts.pmemcheck = pmemcheck;
   auto pool = ObjectPool::create(config_.pool_path, config_.layout,
                                  config_.pool_size, opts);
   if (setup) setup(*pool);
@@ -46,7 +46,7 @@ std::size_t CrashSimulator::run(const PoolFn& setup, const PoolFn& scenario,
   // Pass 1: count crash points.
   std::size_t total_points = 0;
   {
-    auto pool = fresh_pool(/*track_shadow=*/false, setup);
+    auto pool = fresh_pool(/*pmemcheck=*/false, setup);
     HookGuard guard([&](std::string_view) { ++total_points; });
     scenario(*pool);
   }
@@ -54,7 +54,7 @@ std::size_t CrashSimulator::run(const PoolFn& setup, const PoolFn& scenario,
 
   // Pass 2: one run per point.
   for (std::size_t k = 1; k <= total_points; ++k) {
-    auto pool = fresh_pool(/*track_shadow=*/true, setup);
+    auto pool = fresh_pool(/*pmemcheck=*/true, setup);
     bool crashed = false;
     {
       std::size_t seen = 0;
@@ -72,7 +72,7 @@ std::size_t CrashSimulator::run(const PoolFn& setup, const PoolFn& scenario,
 
     pool->mark_crashed();
     const std::vector<std::byte> image =
-        pool->shadow()->crash_image(config_.policy, config_.seed + k);
+        pool->pmemsan()->crash_image(config_.policy, config_.seed + k);
     pool.reset();
     write_image(config_.pool_path, image);
 

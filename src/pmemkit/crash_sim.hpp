@@ -4,11 +4,13 @@
 // *every* persistence-ordering point the library crosses:
 //
 //   1. a counting pass runs the scenario and numbers its crash points;
-//   2. for each point k: a fresh pool is built (shadow-tracked), the
-//      scenario runs with a hook that throws CrashInjected at point k, the
-//      media image is reconstructed from the shadow under the configured
-//      CrashPolicy, the pool is reopened (running recovery), and the
-//      caller's verifier checks invariants.
+//   2. for each point k: a fresh pool is built with the PmemSan model
+//      attached, the scenario runs with a hook that throws CrashInjected
+//      at point k, the media image is reconstructed from the model under
+//      the configured CrashPolicy, the pool is reopened (running
+//      recovery), and the caller's verifier checks invariants.  The model
+//      also checks rules R1–R6 on every run, so a sweep fails on a
+//      discipline violation even when recovery happens to survive it.
 //
 // This is the moral equivalent of pmemcheck + a fault-injection rig, and is
 // what backs the paper's claim that the PMem programming model gives
@@ -21,8 +23,8 @@
 #include <functional>
 #include <string>
 
+#include "pmemkit/pmemsan.hpp"
 #include "pmemkit/pool.hpp"
-#include "pmemkit/shadow.hpp"
 
 namespace cxlpmem::pmemkit {
 
@@ -48,9 +50,9 @@ class CrashSimulator {
                   const PoolFn& verify);
 
  private:
-  /// Builds a fresh shadow-tracked pool, running `setup` on it.
-  std::unique_ptr<ObjectPool> fresh_pool(bool track_shadow,
-                                         const PoolFn& setup);
+  /// Builds a fresh pool, model attached when `pmemcheck`, running
+  /// `setup` on it.
+  std::unique_ptr<ObjectPool> fresh_pool(bool pmemcheck, const PoolFn& setup);
 
   Config config_;
 };

@@ -159,7 +159,7 @@ void migrate_v1_pool(ObjectPool& pool, std::string_view layout) {
   // afterwards no lane state needs translating.
   pool.heap_ = std::make_unique<Heap>(region, h.heap_off, h.heap_size);
   pool.heap_->rebuild();
-  for (std::uint32_t l = 0; l < kLaneCount; ++l) recover_lane(pool, l);
+  recover_lanes(pool);
   crash_point("evolve:quiesced");
 
   // 3. Copy-and-verify the span-table entries.  count stays 0 on media —

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -11,19 +12,11 @@
 #include <thread>
 #include <utility>
 
+#include "pmemkit/splitmix.hpp"
+
 namespace cxlpmem::pmemkit {
 
 namespace {
-
-/// splitmix64 — the deterministic draw behind the random component.  One
-/// output per (seed, site, crossing) triple: the injection decision at a
-/// crossing never depends on what other threads did in between.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct Injector {
   std::mutex mu;
@@ -272,15 +265,27 @@ void arm_faults(FaultPlan plan) {
   g_armed.store(true, std::memory_order_release);
 }
 
-bool arm_faults_from_env() {
+std::optional<std::uint64_t> fault_seed_from_env() {
+  const char* env = std::getenv("CXLPMEM_FAULT_SEED");
+  if (env == nullptr || *env == '\0') return std::nullopt;
+  const std::string_view s(env);
+  std::uint64_t seed = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), seed);
+  if (ec != std::errc() || end != s.data() + s.size())
+    throw std::invalid_argument("CXLPMEM_FAULT_SEED: bad seed '" +
+                                std::string(s) + "' (want a decimal uint64)");
+  return seed;
+}
+
+std::optional<std::uint64_t> arm_faults_from_env() {
   const char* dsl = std::getenv("CXLPMEM_FAULTS");
-  if (dsl == nullptr || *dsl == '\0') return false;
+  if (dsl == nullptr || *dsl == '\0') return std::nullopt;
   FaultPlan plan = FaultPlan::parse(dsl);
-  if (const char* seed = std::getenv("CXLPMEM_FAULT_SEED");
-      seed != nullptr && *seed != '\0')
-    plan.seed = std::strtoull(seed, nullptr, 10);
+  if (const std::optional<std::uint64_t> seed = fault_seed_from_env())
+    plan.seed = *seed;
+  const std::uint64_t seed = plan.seed;
   arm_faults(std::move(plan));
-  return true;
+  return seed;
 }
 
 void clear_faults() {
@@ -344,6 +349,8 @@ std::optional<Fault> fault_point(FaultSite site, std::string_view what) {
     }
     if (!fired && inj.plan.rate_ppm != 0 &&
         (inj.plan.random_sites & (1u << si)) != 0) {
+      // One draw per (seed, site, crossing) triple: the injection decision
+      // at a crossing never depends on what other threads did in between.
       const std::uint64_t draw = splitmix64(
           inj.plan.seed ^ (static_cast<std::uint64_t>(si) << 56) ^ crossing);
       if (draw % 1000000 < inj.plan.rate_ppm) {

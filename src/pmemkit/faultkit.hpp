@@ -98,10 +98,15 @@ struct FaultPlan {
 
 /// Installs `plan` process-wide, resetting crossing counters and stats.
 void arm_faults(FaultPlan plan);
-/// Arms from CXLPMEM_FAULTS (+ CXLPMEM_FAULT_SEED); returns false when the
-/// variable is absent/empty.  Malformed DSL throws, as parse() does —
-/// a chaos harness must fail loudly, not run faultless.
-bool arm_faults_from_env();
+/// CXLPMEM_FAULT_SEED as a seed; nullopt when absent/empty.  Anything but
+/// a plain decimal uint64 throws std::invalid_argument — a typo must not
+/// silently replay seed 0.
+[[nodiscard]] std::optional<std::uint64_t> fault_seed_from_env();
+/// Arms from CXLPMEM_FAULTS (+ CXLPMEM_FAULT_SEED); returns the armed
+/// plan's effective seed, or nullopt when the variable is absent/empty.
+/// Malformed DSL or seed throws, as parse() does — a chaos harness must
+/// fail loudly, not run faultless.
+std::optional<std::uint64_t> arm_faults_from_env();
 /// Disarms and drops the plan (stats survive until the next arm).
 void clear_faults();
 [[nodiscard]] bool faults_armed() noexcept;

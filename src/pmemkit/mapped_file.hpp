@@ -4,7 +4,7 @@
 // plays the role of the persistence domain.  Mapping is MAP_SHARED, so the
 // image survives process exit exactly like media survives power-down — the
 // *crash-consistency* question (which unflushed stores survive?) is answered
-// separately by ShadowTracker.
+// separately by the PmemSan persistence-domain model.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,15 @@
 // pmemkit/pmem_ops.hpp — PersistentRegion: the persistence-domain interface
 // every pmemkit component writes through.
 //
-// It wraps the mapped pool image and (optionally) a ShadowTracker.  The
-// primitive vocabulary mirrors libpmem:
+// It wraps the mapped pool image and (optionally) the PmemSan
+// persistence-domain model.  The primitive vocabulary mirrors libpmem:
 //   flush(p, n)   ~ CLWB loop        — schedule lines for write-back
 //   drain()       ~ SFENCE           — make scheduled lines durable
 //   persist(p, n) ~ flush + drain
 //   memcpy_persist(dst, src, n)      — store + persist
-// With no shadow attached these are no-ops beyond the store itself (the
-// mapped file *is* the media); with a shadow they maintain the crash image.
+// With no model attached these are no-ops beyond the store itself (the
+// mapped file *is* the media); with one they maintain its durable image,
+// which answers both crash images and the R1–R6 rule checks.
 #pragma once
 
 #include <cstddef>
@@ -17,22 +18,18 @@
 
 #include "pmemkit/mapped_file.hpp"
 #include "pmemkit/pmemsan.hpp"
-#include "pmemkit/shadow.hpp"
 
 namespace cxlpmem::pmemkit {
 
 class PersistentRegion {
  public:
-  /// Takes ownership of the mapping.  `track_shadow` enables the crash
-  /// checker (slower; meant for tests and the crash harness); `pmemcheck`
-  /// attaches the PmemSan persistency sanitizer, which diagnoses
+  /// Takes ownership of the mapping.  `pmemcheck` attaches PmemSan, the
+  /// persistence-domain model (slower; meant for tests, the crash harness
+  /// and the CI gate): it reconstructs crash images and diagnoses
   /// flush/fence discipline violations as they happen (see pmemsan.hpp for
-  /// the rule catalog).  The two are independent.
-  explicit PersistentRegion(MappedFile file, bool track_shadow = false,
-                            bool pmemcheck = false)
+  /// the rule catalog).
+  explicit PersistentRegion(MappedFile file, bool pmemcheck = false)
       : file_(std::move(file)) {
-    if (track_shadow)
-      shadow_ = std::make_unique<ShadowTracker>(file_.data(), file_.size());
     if (pmemcheck)
       san_ = std::make_unique<PmemSan>(file_.data(), file_.size(),
                                        file_.path().filename().string());
@@ -49,12 +46,10 @@ class PersistentRegion {
   }
 
   void flush(const void* p, std::size_t n) {
-    if (shadow_) shadow_->record_flush(offset_of(p), n);
     if (san_) san_->on_flush(offset_of(p), n);
   }
   void drain() {
     ++t_drain_count;
-    if (shadow_) shadow_->record_fence();
     if (san_) san_->on_fence();
   }
 
@@ -73,12 +68,11 @@ class PersistentRegion {
   }
   /// Marks a range as modified-without-flush (transaction user ranges).
   void note_store(const void* p, std::size_t n) {
-    if (shadow_) shadow_->record_store(offset_of(p), n);
     if (san_) san_->on_store(offset_of(p), n, PmemSan::StoreOrigin::User);
   }
   /// The infrastructure twin of note_store: pmemkit's own metadata writes
   /// (lane headers, log entries, heap bookkeeping) announce themselves so
-  /// the sanitizer can tell a deliberate store from a stray flush.  Exempt
+  /// the model can tell a deliberate store from a stray flush.  Exempt
   /// from the R1 coverage check; no-op when pmemcheck is off.
   void note_store_infra(const void* p, std::size_t n) {
     if (san_) san_->on_store(offset_of(p), n, PmemSan::StoreOrigin::Infra);
@@ -95,15 +89,13 @@ class PersistentRegion {
     persist(dst, n);
   }
 
-  [[nodiscard]] ShadowTracker* shadow() noexcept { return shadow_.get(); }
   [[nodiscard]] PmemSan* pmemsan() noexcept { return san_.get(); }
 
   /// Resizes the backing file/mapping (MappedFile::resize semantics: throws
   /// PoolError(Io) and stays intact on failure; the base may move) and
-  /// keeps the shadow image in step.
+  /// keeps the durable image in step.
   void resize(std::size_t new_size) {
     file_.resize(new_size);
-    if (shadow_) shadow_->remap(file_.data(), file_.size());
     if (san_) san_->remap(file_.data(), file_.size());
   }
 
@@ -111,7 +103,6 @@ class PersistentRegion {
   static inline thread_local std::uint64_t t_drain_count = 0;
 
   MappedFile file_;
-  std::unique_ptr<ShadowTracker> shadow_;
   std::unique_ptr<PmemSan> san_;
 };
 

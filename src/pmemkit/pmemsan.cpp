@@ -7,17 +7,45 @@
 #include <utility>
 
 #include "pmemkit/errors.hpp"
+#include "pmemkit/splitmix.hpp"
 
 #if __has_include(<execinfo.h>)
 #include <execinfo.h>
 #define CXLPMEM_HAVE_EXECINFO 1
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+extern "C" void AnnotateIgnoreReadsBegin(const char* file, int line);
+extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
+#endif
+
 namespace cxlpmem::pmemkit {
 
 namespace {
 
-constexpr std::uint64_t kLine = 64;  // matches ShadowTracker's granularity
+/// Identifies the calling thread to the per-thread fence model.  A counter
+/// rather than std::thread::id, so a new thread never inherits the
+/// unfenced snapshots of an exited one that reused its id.
+std::uint64_t thread_token() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  thread_local const std::uint64_t token =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return token;
+}
+
+/// Scopes the model's reads of the live mapping.  They stand for a cache
+/// write-back, which reads a line at one instant while other threads may
+/// be storing to its other bytes — modelled hardware, not program logic —
+/// so thread-sanitizer builds ignore them instead of reporting every
+/// shared-line flush as a race.
+struct [[maybe_unused]] LiveReads {
+#if defined(__SANITIZE_THREAD__)
+  LiveReads() { AnnotateIgnoreReadsBegin(__FILE__, __LINE__); }
+  ~LiveReads() { AnnotateIgnoreReadsEnd(__FILE__, __LINE__); }
+  LiveReads(const LiveReads&) = delete;
+  LiveReads& operator=(const LiveReads&) = delete;
+#endif
+};
 
 /// Per-thread, per-sanitizer bindings.  Keyed by PmemSan pointer because a
 /// thread may hold transactions on several pmemcheck'd pools at once
@@ -131,11 +159,34 @@ void PmemSan::set_sink(std::shared_ptr<ViolationSink> sink) {
   sink_ = std::move(sink);
 }
 
-bool PmemSan::line_matches_durable(std::uint64_t l) const {
+std::uint64_t PmemSan::line_bytes(std::uint64_t l) const noexcept {
   const std::uint64_t off = l * kLine;
-  if (off >= durable_.size()) return true;
-  const std::uint64_t n = std::min<std::uint64_t>(kLine, durable_.size() - off);
-  return std::memcmp(live_ + off, durable_.data() + off, n) == 0;
+  return off >= durable_.size()
+             ? 0
+             : std::min<std::uint64_t>(kLine, durable_.size() - off);
+}
+
+bool PmemSan::line_matches_durable(std::uint64_t l) const {
+  const LiveReads hw;
+  const std::uint64_t off = l * kLine;
+  return std::memcmp(live_ + off, durable_.data() + off, line_bytes(l)) == 0;
+}
+
+void PmemSan::snapshot(PendingSet& mine, std::uint64_t l, LineState& s) {
+  const LiveReads hw;
+  Snapshot& snap = mine.emplace_back();
+  snap.line = l;
+  snap.seq = ++flush_seq_;
+  std::memcpy(snap.bytes.data(), live_ + l * kLine, line_bytes(l));
+  ++s.pending;
+  s.stored = false;
+}
+
+void PmemSan::accept(std::uint64_t off, std::uint64_t end) {
+  end = std::min<std::uint64_t>(end, durable_.size());
+  if (off >= end) return;
+  const LiveReads hw;
+  std::memcpy(durable_.data() + off, live_ + off, end - off);
 }
 
 bool PmemSan::covered(const TxCtx& ctx, std::uint64_t off,
@@ -195,10 +246,7 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
     }
     const std::uint64_t first = off / kLine;
     const std::uint64_t last = (off + len - 1) / kLine;
-    for (std::uint64_t l = first; l <= last; ++l) {
-      lines_[l] = Line::Stored;
-      pending_.erase(l);  // a re-dirtied flushed line needs a new flush
-    }
+    for (std::uint64_t l = first; l <= last; ++l) lines_[l].stored = true;
   }
   // R6 bookkeeping: remember the store so a narrower follow-up persist is
   // detectable.
@@ -214,14 +262,17 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
 
 void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
   if (len == 0) return;
+  const std::uint64_t me = thread_token();
   std::vector<SanViolation> found;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    PendingSet& mine = pending_[me];
     const std::uint64_t first = off / kLine;
     const std::uint64_t last = (off + len - 1) / kLine;
     for (std::uint64_t l = first; l <= last; ++l) {
-      const auto it = lines_.find(l);
-      if (it == lines_.end()) {
+      const auto [it, untracked] = lines_.try_emplace(l);
+      LineState& s = it->second;
+      if (untracked) {
         // Never annotated.  Content decides: a line that differs from the
         // durable image was raw-stored through a direct() pointer — accept
         // it as an implicit store; a line that matches carries nothing for
@@ -231,45 +282,40 @@ void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
               SanRule::FlushNeverStored, l * kLine, kLine,
               "flush of a line no store ever touched (over-wide flush "
               "range?)"));
-        lines_[l] = Line::Pending;
-        pending_.insert(l);
-        continue;
+      } else if (!s.stored && s.pending == 0 && line_matches_durable(l)) {
+        // Durable, and no store — annotated or raw — re-dirtied it.  Waste
+        // only if this thread's own fence made it durable; a line another
+        // thread's fence wrote back (bytes this thread stored on a shared
+        // line) is a late flush, not a redundant one.
+        if (s.durable_by == me) {
+          found.push_back(make_violation(
+              SanRule::RedundantFlush, l * kLine, kLine,
+              "flush of an already-durable line no store re-dirtied"));
+          continue;
+        }
       }
-      switch (it->second) {
-        case Line::Stored:
-          it->second = Line::Pending;
-          pending_.insert(l);
-          break;
-        case Line::Pending:
-          break;  // benign: both flushes ride the next fence
-        case Line::Durable:
-          if (line_matches_durable(l)) {
-            found.push_back(make_violation(
-                SanRule::RedundantFlush, l * kLine, kLine,
-                "flush of an already-durable line no store re-dirtied"));
-          } else {
-            // Raw re-store since the last fence: implicit store.
-            it->second = Line::Pending;
-            pending_.insert(l);
-          }
-          break;
-      }
+      snapshot(mine, l, s);
     }
   }
   deliver(std::move(found));
 }
 
 void PmemSan::on_fence() {
+  const std::uint64_t me = thread_token();
   const std::lock_guard<std::mutex> lock(mu_);
-  for (const std::uint64_t l : pending_) {
-    const std::uint64_t off = l * kLine;
-    if (off >= durable_.size()) continue;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kLine, durable_.size() - off);
-    std::memcpy(durable_.data() + off, live_ + off, n);
-    lines_[l] = Line::Durable;
+  const auto mine = pending_.find(me);
+  if (mine == pending_.end()) return;
+  for (const Snapshot& snap : mine->second) {
+    const std::uint64_t l = snap.line;
+    LineState& s = lines_[l];
+    --s.pending;
+    if (snap.seq < s.published) continue;  // a newer flush already landed
+    s.published = snap.seq;
+    s.durable_by = me;
+    std::memcpy(durable_.data() + l * kLine, snap.bytes.data(),
+                line_bytes(l));
   }
-  pending_.clear();
+  mine->second.clear();
 }
 
 void PmemSan::on_persist(std::uint64_t off, std::uint64_t len) {
@@ -301,22 +347,21 @@ void PmemSan::remap(const std::byte* live, std::size_t size) {
   live_ = live;
   durable_.resize(size);
   if (size > old) {
+    const LiveReads hw;
     // Grown bytes are durable the moment ftruncate returns (kernel zero
-    // page -> file, no cache in between) — same contract as ShadowTracker.
+    // page -> file, no cache in between).
     std::memcpy(durable_.data() + old, live_ + old, size - old);
   } else if (size < old) {
     const std::uint64_t lines = (size + kLine - 1) / kLine;
     std::erase_if(lines_, [&](const auto& e) { return e.first >= lines; });
-    std::erase_if(pending_, [&](std::uint64_t l) { return l >= lines; });
+    for (auto& [thread, set] : pending_)
+      std::erase_if(set, [&](const Snapshot& e) { return e.line >= lines; });
   }
 }
 
 void PmemSan::discard(std::uint64_t off, std::uint64_t len) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (off >= durable_.size()) return;
-  const std::uint64_t n =
-      std::min<std::uint64_t>(len, durable_.size() - off);
-  std::memcpy(durable_.data() + off, live_ + off, n);
+  accept(off, off + len);
 }
 
 void PmemSan::tx_begin(std::uint32_t lane) {
@@ -350,6 +395,7 @@ void PmemSan::tx_commit_publish(std::uint32_t lane) {
     const std::lock_guard<std::mutex> lock(mu_);
     const TxCtx& ctx = tx_[lane];
     if (!ctx.active) return;
+    const LiveReads hw;
     for (const auto& [off, end] : ctx.coverage) {
       // Byte-precise, not line-state: a neighbour transaction's store
       // annotation re-marks a shared line Stored even after this lane
@@ -363,8 +409,11 @@ void PmemSan::tx_commit_publish(std::uint32_t lane) {
       std::uint64_t b = off;
       while (live_[b] == durable_[b]) ++b;
       const std::uint64_t l = b / kLine;
-      const auto it = lines_.find(l);
-      const bool pend = it != lines_.end() && it->second == Line::Pending;
+      const auto mine = pending_.find(thread_token());
+      const bool pend =
+          mine != pending_.end() &&
+          std::any_of(mine->second.begin(), mine->second.end(),
+                      [l](const Snapshot& snap) { return snap.line == l; });
       found.push_back(make_violation(
           SanRule::UnflushedCommit, l * kLine, kLine,
           std::string("commit record published while a covered line is ") +
@@ -395,22 +444,18 @@ void PmemSan::tx_abort(std::uint32_t lane) {
       const std::uint64_t last = (end - 1) / kLine;
       for (std::uint64_t l = first; l <= last; ++l) {
         const auto it = lines_.find(l);
-        const bool tracked = it != lines_.end() && it->second != Line::Durable;
+        const bool tracked = it != lines_.end() &&
+                             (it->second.stored || it->second.pending > 0);
         if (!tracked && line_matches_durable(l)) continue;
         // Undo-snapshotted ranges were restored and persisted by the
         // rollback; what remains non-durable here is fresh-allocation
         // content the AllocAction rollback just freed.  Dead bytes owe
-        // nobody a flush.
-        if (it != lines_.end()) {
-          lines_.erase(it);
-          pending_.erase(l);
-        }
-        const std::uint64_t loff = l * kLine;
-        if (loff < durable_.size()) {
-          const std::uint64_t n =
-              std::min<std::uint64_t>(kLine, durable_.size() - loff);
-          std::memcpy(durable_.data() + loff, live_ + loff, n);
-        }
+        // nobody a flush.  No thread's fence made the line durable, so
+        // none of them re-flushing it is R3.
+        accept(l * kLine, (l + 1) * kLine);
+        LineState& s = lines_[l];
+        s.stored = false;
+        s.durable_by = 0;
       }
     }
     ctx.active = false;
@@ -431,9 +476,9 @@ std::size_t PmemSan::scan_not_durable(std::size_t max_reports,
     for (std::uint64_t l = 0; l < line_count; ++l) {
       const auto it = lines_.find(l);
       const char* how = nullptr;
-      if (it != lines_.end() && it->second == Line::Stored)
+      if (it != lines_.end() && it->second.stored)
         how = "stored but never flushed";
-      else if (it != lines_.end() && it->second == Line::Pending)
+      else if (it != lines_.end() && it->second.pending > 0)
         how = "flushed but never fenced";
       else if (!line_matches_durable(l))
         how = "raw-stored (no annotation) and never flushed";
@@ -447,6 +492,41 @@ std::size_t PmemSan::scan_not_durable(std::size_t max_reports,
   }
   deliver(std::move(found));
   return dirty;
+}
+
+std::vector<std::byte> PmemSan::crash_image(CrashPolicy policy,
+                                            std::uint64_t seed) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const LiveReads hw;
+  if (policy == CrashPolicy::EadrEverythingSurvives) {
+    // Caches are inside the persistence domain: media == everything stored.
+    return std::vector<std::byte>(live_, live_ + durable_.size());
+  }
+  std::vector<std::byte> img = durable_;
+  if (policy == CrashPolicy::RandomEvict) {
+    // Stored lines and flushed-but-unfenced lines alike may or may not
+    // have reached media; toss a deterministic coin per line.
+    for (const auto& [l, s] : lines_) {
+      if (!s.stored && s.pending == 0) continue;
+      if ((splitmix64(seed ^ (0xabcdull + l)) & 1) == 0) continue;
+      std::memcpy(img.data() + l * kLine, live_ + l * kLine, line_bytes(l));
+    }
+  }
+  return img;
+}
+
+std::size_t PmemSan::dirty_lines() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<std::size_t>(std::count_if(
+      lines_.begin(), lines_.end(),
+      [](const auto& e) { return e.second.stored || e.second.pending > 0; }));
+}
+
+std::size_t PmemSan::pending_lines() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<std::size_t>(std::count_if(
+      lines_.begin(), lines_.end(),
+      [](const auto& e) { return e.second.pending > 0; }));
 }
 
 std::size_t PmemSan::verify(std::size_t max_reports) {

@@ -191,8 +191,7 @@ ObjectPool* tx_pool_containing(const void* p) noexcept {
 bool thread_in_tx() noexcept { return !t_current_tx.empty(); }
 
 ObjectPool::ObjectPool(MappedFile file, Options options)
-    : region_(std::move(file), options.track_shadow,
-              options.pmemcheck || env_pmemcheck()),
+    : region_(std::move(file), options.pmemcheck || env_pmemcheck()),
       path_(region_.file().path()),
       tx_publish_(options.tx_publish) {
   if (PmemSan* san = region_.pmemsan())
@@ -370,10 +369,8 @@ ObjectPool::~ObjectPool() {
 
 void ObjectPool::run_recovery() {
   PoolHeader& h = header();
-  bool any = (h.flags & kFlagCleanShutdown) == 0;
-  for (std::uint32_t l = 0; l < h.lane_count; ++l)
-    any = recover_lane(*this, l) || any;
-  recovered_ = any;
+  const bool dirty = (h.flags & kFlagCleanShutdown) == 0;
+  recovered_ = recover_lanes(*this) || dirty;
   // Mark open (dirty) for the lifetime of this handle.
   h.flags &= ~kFlagCleanShutdown;
   region_.note_store_infra(&h.flags, sizeof(h.flags));

@@ -3,9 +3,9 @@
 // A pool is a mapped file with:  header | 64 lanes | heap.  It provides the
 // libpmemobj programming model: a named layout, a root object, atomic
 // (failure-atomic, non-transactional) allocation into a destination ObjId,
-// typed object ids, undo-log transactions, and open-time recovery.  An
-// optional ShadowTracker (Options::track_shadow) maintains the
-// crash-consistency image used by the test harness.
+// typed object ids, undo-log transactions, and open-time recovery.  The
+// optional PmemSan model (Options::pmemcheck) maintains the durable image
+// the crash harness reads and checks the persistency rules against it.
 #pragma once
 
 #include <atomic>
@@ -49,8 +49,6 @@ struct PoolStats {
 struct PoolReport;  // introspect.hpp
 
 struct PoolOptions {
-  /// Maintain a ShadowTracker for crash simulation (slower).
-  bool track_shadow = false;
   /// Undo-entry publish protocol.  TwoPersistReference is the version-1
   /// baseline (tail bump per entry, O(n) snapshot scan), compiled in so
   /// bench/micro_tx can A/B the fence halving on identical pools; recovery
@@ -62,10 +60,11 @@ struct PoolOptions {
   /// discipline).  Without it, open() rejects such images with
   /// VersionMismatch / MigrationPending respectively.
   bool migrate = false;
-  /// Attach PmemSan, the runtime persistency sanitizer (pmemsan.hpp): every
-  /// store/flush/fence is checked against the x86+ADR discipline and
-  /// violations are delivered to the configured ViolationSink.  Also
-  /// enabled process-wide by CXLPMEM_PMEMCHECK=1.
+  /// Attach PmemSan, the persistence-domain model (pmemsan.hpp; slower):
+  /// it keeps the durable image crash simulation reads, and every
+  /// store/flush/fence is checked against the x86+ADR discipline with
+  /// violations delivered to the configured ViolationSink.  Also enabled
+  /// process-wide by CXLPMEM_PMEMCHECK=1.
   bool pmemcheck = false;
 };
 
@@ -226,8 +225,8 @@ class ObjectPool {
   // --- stats / introspection -------------------------------------------------
   [[nodiscard]] PoolStats stats() const;
   [[nodiscard]] PersistentRegion& region() noexcept { return region_; }
-  [[nodiscard]] ShadowTracker* shadow() noexcept { return region_.shadow(); }
-  /// The attached persistency sanitizer, or nullptr when pmemcheck is off.
+  /// The attached persistence-domain model, or nullptr when pmemcheck is
+  /// off.
   [[nodiscard]] PmemSan* pmemsan() noexcept { return region_.pmemsan(); }
   [[nodiscard]] Heap& heap() noexcept { return *heap_; }
   [[nodiscard]] const Heap& heap() const noexcept { return *heap_; }
@@ -277,7 +276,7 @@ class ObjectPool {
 
  private:
   friend class Transaction;
-  friend bool recover_lane(ObjectPool& pool, std::uint32_t lane);
+  friend bool recover_lanes(ObjectPool& pool);
   friend struct PoolReport;
   friend PoolReport inspect(const ObjectPool& pool);
   friend void migrate_v1_pool(ObjectPool& pool, std::string_view layout);

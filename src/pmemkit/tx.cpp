@@ -467,52 +467,63 @@ void Transaction::abort() {
   finished_ = true;
 }
 
-bool recover_lane(ObjectPool& pool, std::uint32_t lane) {
+bool recover_lanes(ObjectPool& pool) {
   PersistentRegion& region = pool.region();
-  LaneHeader& lh = pool.lane_header(lane);
-  bool changed = redo_recover(region, lh.redo);
+  // Every published redo log is replayed before any lane's undo work.  A
+  // log stays published only while its owner holds the heap words it
+  // names, so together the logs restore the heap as it stood at the crash;
+  // finishing one lane's deferred frees first and replaying another lane's
+  // older log afterwards would resurrect the bitmap bits those frees
+  // cleared.
+  bool changed = false;
+  for (std::uint32_t lane = 0; lane < kLaneCount; ++lane)
+    changed = redo_recover(region, pool.lane_header(lane).redo) || changed;
 
-  switch (static_cast<LaneState>(lh.state)) {
-    case LaneState::Idle: {
-      // A torn retire may have landed Idle without the stale tail reset or
-      // the log-head wipe (8-byte persistence granularity).  Both must be
-      // re-established before the lane can be reused: the next begin()'s
-      // single-fence line write is only safe against {Active, stale gen}
-      // tearing because an idle lane's log head is durably zero.
-      std::byte* undo = pool.lane_undo(lane);
-      std::uint64_t head = 0;
-      std::memcpy(&head, undo, sizeof(head));
-      bool fixed = false;
-      if (lh.undo_tail != 0) {
-        lh.undo_tail = 0;
-        region.note_store_infra(&lh.undo_tail, sizeof(lh.undo_tail));
-        region.flush(&lh.undo_tail, sizeof(lh.undo_tail));
-        fixed = true;
+  for (std::uint32_t lane = 0; lane < kLaneCount; ++lane) {
+    LaneHeader& lh = pool.lane_header(lane);
+    switch (static_cast<LaneState>(lh.state)) {
+      case LaneState::Idle: {
+        // A torn retire may have landed Idle without the stale tail reset
+        // or the log-head wipe (8-byte persistence granularity).  Both
+        // must be re-established before the lane can be reused: the next
+        // begin()'s single-fence line write is only safe against {Active,
+        // stale gen} tearing because an idle lane's log head is durably
+        // zero.
+        std::byte* undo = pool.lane_undo(lane);
+        std::uint64_t head = 0;
+        std::memcpy(&head, undo, sizeof(head));
+        bool fixed = false;
+        if (lh.undo_tail != 0) {
+          lh.undo_tail = 0;
+          region.note_store_infra(&lh.undo_tail, sizeof(lh.undo_tail));
+          region.flush(&lh.undo_tail, sizeof(lh.undo_tail));
+          fixed = true;
+        }
+        if (head != 0) {
+          std::memset(undo, 0, sizeof(std::uint64_t));  // pmemlint: allow(log-head wipe, flushed next line)
+          region.note_store_infra(undo, sizeof(std::uint64_t));
+          region.flush(undo, sizeof(std::uint64_t));
+          fixed = true;
+        }
+        if (fixed) {
+          region.drain();
+          changed = true;
+        }
+        break;
       }
-      if (head != 0) {
-        std::memset(undo, 0, sizeof(std::uint64_t));  // pmemlint: allow(log-head wipe, flushed next line)
-        region.note_store_infra(undo, sizeof(std::uint64_t));
-        region.flush(undo, sizeof(std::uint64_t));
-        fixed = true;
-      }
-      if (fixed) {
-        region.drain();
+      case LaneState::Active:
+        rollback_lane(region, *pool.heap_, lh, pool.lane_undo(lane),
+                      pool.tx_publish());
         changed = true;
-      }
-      break;
+        break;
+      case LaneState::Committed:
+        finish_committed_lane(region, *pool.heap_, lh, pool.lane_undo(lane),
+                              pool.tx_publish());
+        changed = true;
+        break;
+      default:
+        throw PoolError(ErrKind::CorruptImage, "unknown lane state");
     }
-    case LaneState::Active:
-      rollback_lane(region, *pool.heap_, lh, pool.lane_undo(lane),
-                    pool.tx_publish());
-      changed = true;
-      break;
-    case LaneState::Committed:
-      finish_committed_lane(region, *pool.heap_, lh, pool.lane_undo(lane),
-                            pool.tx_publish());
-      changed = true;
-      break;
-    default:
-      throw PoolError(ErrKind::CorruptImage, "unknown lane state");
   }
   return changed;
 }

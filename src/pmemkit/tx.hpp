@@ -143,9 +143,10 @@ class Transaction {
   bool finished_ = false;
 };
 
-/// Lane log recovery — shared by Transaction::abort and pool open.
-/// Returns true when any persistent state was changed.
-bool recover_lane(ObjectPool& pool, std::uint32_t lane);
+/// Lane log recovery at pool open (and before a migration): replays every
+/// lane's published redo log, then rolls back or finishes each lane's
+/// transaction.  Returns true when any persistent state was changed.
+bool recover_lanes(ObjectPool& pool);
 
 /// Bytes of the checksum-valid, generation-`gen` entry prefix at the head
 /// of a lane's undo log — the published log recovery would act on.  Used by

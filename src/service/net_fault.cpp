@@ -14,18 +14,12 @@
 #include <unordered_map>
 #include <utility>
 
+#include "pmemkit/faultkit.hpp"
+#include "pmemkit/splitmix.hpp"
+
 namespace cxlpmem::service {
 
 namespace {
-
-/// Same PRNG as pmemkit/faultkit: one draw per (seed, op, crossing), so
-/// injection decisions are independent of thread interleaving.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct NetInjector {
   std::mutex mu;
@@ -208,15 +202,15 @@ void arm_net_faults(NetFaultPlan plan) {
   g_armed.store(true, std::memory_order_release);
 }
 
-bool arm_net_faults_from_env() {
+std::optional<std::uint64_t> arm_net_faults_from_env() {
   const char* dsl = std::getenv("CXLPMEM_NET_FAULTS");
-  if (dsl == nullptr || *dsl == '\0') return false;
+  if (dsl == nullptr || *dsl == '\0') return std::nullopt;
   NetFaultPlan plan = NetFaultPlan::parse(dsl);
-  if (const char* seed = std::getenv("CXLPMEM_FAULT_SEED");
-      seed != nullptr && *seed != '\0')
-    plan.seed = std::strtoull(seed, nullptr, 10);
+  if (const std::optional<std::uint64_t> seed = pmemkit::fault_seed_from_env())
+    plan.seed = *seed;
+  const std::uint64_t seed = plan.seed;
   arm_net_faults(std::move(plan));
-  return true;
+  return seed;
 }
 
 void clear_net_faults() {
@@ -290,7 +284,9 @@ std::optional<NetFault> cross(NetOp op, int fd, std::uint64_t bytes) {
     }
   }
   if (!fired && inj.plan.rate_ppm != 0) {
-    const std::uint64_t draw = splitmix64(
+    // Same draw as pmemkit/faultkit: one per (seed, op, crossing), so
+    // injection decisions are independent of thread interleaving.
+    const std::uint64_t draw = pmemkit::splitmix64(
         inj.plan.seed ^ (static_cast<std::uint64_t>(oi) << 56) ^ crossing);
     if (draw % 1000000 < inj.plan.rate_ppm) {
       NetFault f;

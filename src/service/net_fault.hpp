@@ -31,6 +31,7 @@
 #include <sys/types.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,8 +68,10 @@ struct NetFaultPlan {
 
 /// Installs `plan` process-wide, resetting counters and per-fd state.
 void arm_net_faults(NetFaultPlan plan);
-/// Arms from CXLPMEM_NET_FAULTS; returns false when absent/empty.
-bool arm_net_faults_from_env();
+/// Arms from CXLPMEM_NET_FAULTS (+ CXLPMEM_FAULT_SEED, strict as in
+/// pmemkit::fault_seed_from_env); returns the armed plan's effective seed,
+/// or nullopt when the variable is absent/empty.
+std::optional<std::uint64_t> arm_net_faults_from_env();
 void clear_net_faults();
 [[nodiscard]] bool net_faults_armed() noexcept;
 

@@ -277,7 +277,7 @@ TEST_F(CheckpointTest, SaveIsCrashAtomic) {
   for (std::size_t k = 1; k <= total_points; ++k) {
     const std::string file = "crash-" + std::to_string(k) + ".pool";
     pk::PoolOptions opts;
-    opts.track_shadow = true;
+    opts.pmemcheck = true;
     auto store = std::make_unique<core::CheckpointStore>(*ns_, file, 4096,
                                                          false, opts);
     store->save(payload_of(0xAA, 1000));
@@ -297,7 +297,7 @@ TEST_F(CheckpointTest, SaveIsCrashAtomic) {
 
     store->pool().mark_crashed();
     const auto image =
-        store->pool().shadow()->crash_image(pk::CrashPolicy::DropUnflushed);
+        store->pool().pmemsan()->crash_image(pk::CrashPolicy::DropUnflushed);
     const fs::path path = store->pool().path();
     store.reset();
     {
@@ -358,7 +358,7 @@ TEST_P(CheckpointCrashSweep, IncrementalSaveIsCrashAtomic) {
   for (std::size_t k = 1; k <= total_points; ++k) {
     const std::string file = "crash-" + std::to_string(k) + ".pool";
     pk::PoolOptions popts;
-    popts.track_shadow = true;
+    popts.pmemcheck = true;
     auto store = std::make_unique<core::CheckpointStore>(*ns_, file, 1 << 16,
                                                          false, popts, opts);
     run_saves(*store);
@@ -377,7 +377,7 @@ TEST_P(CheckpointCrashSweep, IncrementalSaveIsCrashAtomic) {
     ASSERT_TRUE(crashed) << "point " << k;
 
     store->pool().mark_crashed();
-    const auto image = store->pool().shadow()->crash_image(policy, k);
+    const auto image = store->pool().pmemsan()->crash_image(policy, k);
     const fs::path path = store->pool().path();
     store.reset();
     {

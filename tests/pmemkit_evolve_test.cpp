@@ -121,7 +121,7 @@ TEST(EvolveTest, MigrateFlagIsIdempotentOnV2Pools) {
 // with the migrate flag must always finish the upgrade with the data
 // intact, and reopening without it must either succeed (the seal landed —
 // the image is v2) or fail with the precise typed error.  File-based
-// rather than shadow-based: every byte the migrator writes is explicitly
+// rather than model-based: every byte the migrator writes is explicitly
 // persisted before the next crash point, so the file IS the crash image.
 TEST(EvolveTest, MigrationCrashSweep) {
   const fs::path pristine = scratch("sweep-pristine.pool");

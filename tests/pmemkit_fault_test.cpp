@@ -14,12 +14,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/cxlpmem.hpp"
 #include "pmemkit/faultkit.hpp"
 #include "pmemkit/pmemkit.hpp"
+#include "pmemkit/splitmix.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace api = cxlpmem::api;
@@ -99,6 +101,41 @@ TEST_F(FaultTest, DslRejectsMalformedEntries) {
                std::invalid_argument);
   EXPECT_THROW((void)pk::FaultPlan::parse("random:seed=1,bad=2"),
                std::invalid_argument);
+}
+
+TEST_F(FaultTest, SplitmixIsTheReferenceGenerator) {
+  // Seeded schedules, backoff jitter and eviction coins replay from
+  // printed seeds only while the mixer stays bit-identical: pin it to the
+  // reference splitmix64 stream (state 0, then one golden-ratio step).
+  static_assert(pk::splitmix64(0) == 0xe220a8397b1dcdafull);
+  static_assert(pk::splitmix64(0x9e3779b97f4a7c15ull) ==
+                0x6e789e6aa1b965f4ull);
+}
+
+TEST_F(FaultTest, EnvArmingReturnsTheEffectiveSeed) {
+  ::unsetenv("CXLPMEM_FAULT_SEED");
+  ::unsetenv("CXLPMEM_FAULTS");
+  EXPECT_EQ(pk::arm_faults_from_env(), std::nullopt);
+
+  ::setenv("CXLPMEM_FAULTS", "random:seed=5,rate=100", 1);
+  EXPECT_EQ(pk::arm_faults_from_env(), std::optional<std::uint64_t>(5));
+  ::setenv("CXLPMEM_FAULT_SEED", "17", 1);  // the override wins
+  EXPECT_EQ(pk::arm_faults_from_env(), std::optional<std::uint64_t>(17));
+  ::unsetenv("CXLPMEM_FAULT_SEED");
+  ::unsetenv("CXLPMEM_FAULTS");
+}
+
+TEST_F(FaultTest, EnvArmingRejectsAMalformedSeed) {
+  ::setenv("CXLPMEM_FAULTS", "serve:corrupt@1", 1);
+  for (const char* bad : {"abc", "12x", "-1", " 7", "0x10",
+                          "18446744073709551616"}) {
+    ::setenv("CXLPMEM_FAULT_SEED", bad, 1);
+    EXPECT_THROW((void)pk::arm_faults_from_env(), std::invalid_argument)
+        << bad;
+    EXPECT_FALSE(pk::faults_armed()) << bad;
+  }
+  ::unsetenv("CXLPMEM_FAULT_SEED");
+  ::unsetenv("CXLPMEM_FAULTS");
 }
 
 TEST_F(FaultTest, FixedEntryFiresAtItsExactCrossingOnce) {

@@ -92,7 +92,7 @@ LaneView find_busy_lane(const std::vector<std::byte>& image) {
   return {};
 }
 
-/// Runs `scenario` on a fresh shadow-tracked pool, cutting power at the
+/// Runs `scenario` on a fresh model-attached pool, cutting power at the
 /// `trip`-th occurrence of crash point `point`, and returns the
 /// DropUnflushed media image.
 std::vector<std::byte> image_at_crash(const fs::path& path,
@@ -102,7 +102,7 @@ std::vector<std::byte> image_at_crash(const fs::path& path,
                                       const std::function<void(pk::ObjectPool&)>& scenario) {
   fs::remove(path);
   pk::PoolOptions opts;
-  opts.track_shadow = true;
+  opts.pmemcheck = true;
   auto pool = pk::ObjectPool::create(path, "torn", pk::ObjectPool::min_pool_size(), opts);
   setup(*pool);
 
@@ -121,7 +121,7 @@ std::vector<std::byte> image_at_crash(const fs::path& path,
   EXPECT_TRUE(crashed) << "scenario never reached " << point << " #" << trip;
 
   pool->mark_crashed();
-  auto image = pool->shadow()->crash_image(pk::CrashPolicy::DropUnflushed);
+  auto image = pool->pmemsan()->crash_image(pk::CrashPolicy::DropUnflushed);
   pool.reset();
   return image;
 }

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "api/cxlpmem.hpp"
 #include "pmemkit/faultkit.hpp"
 #include "service/client.hpp"
+#include "service/net_fault.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -28,6 +30,22 @@ namespace pk = cxlpmem::pmemkit;
 using namespace cxlpmem;
 using service::Client;
 using service::RespValue;
+
+TEST(NetFaultEnvTest, ArmingReturnsTheEffectiveSeedAndRejectsAMalformedOne) {
+  ::unsetenv("CXLPMEM_FAULT_SEED");
+  ::setenv("CXLPMEM_NET_FAULTS", "random:seed=9,rate=100", 1);
+  EXPECT_EQ(service::arm_net_faults_from_env(),
+            std::optional<std::uint64_t>(9));
+  service::clear_net_faults();
+
+  // A typo in the override must fail the launch, not replay seed 0.
+  ::setenv("CXLPMEM_FAULT_SEED", "abc", 1);
+  EXPECT_THROW((void)service::arm_net_faults_from_env(),
+               std::invalid_argument);
+  EXPECT_FALSE(service::net_faults_armed());
+  ::unsetenv("CXLPMEM_FAULT_SEED");
+  ::unsetenv("CXLPMEM_NET_FAULTS");
+}
 
 class ServiceFaultTest : public ::testing::Test {
  protected:

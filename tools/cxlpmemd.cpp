@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -132,13 +133,19 @@ int main(int argc, char** argv) {
   // malformed schedule is a fatal config error — a chaos run that silently
   // runs faultless would report a lie.
   try {
-    const bool media = pmemkit::arm_faults_from_env();
-    const bool net = service::arm_net_faults_from_env();
-    if (media || net) {
-      const char* seed = std::getenv("CXLPMEM_FAULT_SEED");
-      std::fprintf(stderr, "cxlpmemd: fault injection armed (media=%d net=%d seed=%s)\n",
-                   media ? 1 : 0, net ? 1 : 0, seed != nullptr ? seed : "0");
-    }
+    // Echo the seed each armed schedule actually draws from (DSL seed or
+    // the CXLPMEM_FAULT_SEED override): the replay recipe for this run.
+    const std::optional<std::uint64_t> media = pmemkit::arm_faults_from_env();
+    const std::optional<std::uint64_t> net =
+        service::arm_net_faults_from_env();
+    const auto part = [](const char* name,
+                         const std::optional<std::uint64_t>& seed) {
+      return seed ? std::string(name) + "=1 seed=" + std::to_string(*seed)
+                  : std::string(name) + "=0";
+    };
+    if (media || net)
+      std::fprintf(stderr, "cxlpmemd: fault injection armed (%s; %s)\n",
+                   part("media", media).c_str(), part("net", net).c_str());
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "cxlpmemd: %s\n", e.what());
     return 2;

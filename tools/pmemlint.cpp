@@ -18,8 +18,8 @@
 //       same line or the line above.  The annotation is the audit trail:
 //       every raw store into pool-mapped bytes states why it is exempt
 //       from the memcpy_persist/note_store seam.  Files that *are* the
-//       seam (pmem_ops.hpp), the shadow/sanitizer mirrors (shadow.cpp,
-//       pmemsan.cpp) and the raw file layer (mapped_file.cpp,
+//       seam (pmem_ops.hpp), the persistence-domain model's DRAM mirror
+//       (pmemsan.cpp) and the raw file layer (mapped_file.cpp,
 //       crash_sim.cpp) are whitelisted wholesale.
 //   L4  Outside src/pmemkit, application/runtime code must not punch
 //       through the typed pool seam: a line that combines pool-mapped
@@ -192,7 +192,6 @@ void lint_layout(const fs::path& layout_path) {
 
 const std::set<std::string> kPmemkitWhitelist = {
     "pmem_ops.hpp",   // the canonical seam: memcpy_persist lives here
-    "shadow.cpp",     // DRAM mirror of the pool, not the pool
     "pmemsan.cpp",    // sanitizer's own DRAM durable-image bookkeeping
     "mapped_file.cpp",  // raw file/mmap layer, below the persistence model
     "crash_sim.cpp",  // crash harness copies whole images around
