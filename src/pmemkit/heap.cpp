@@ -58,7 +58,7 @@ void Heap::publish_span(const Span& s, bool chunks_free) {
   if (idx >= kMaxHeapSpans)
     throw PoolError(ErrKind::CorruptImage, "too many heap spans");
   spans_[idx] = s;
-  chunk_mu_[idx] = std::make_unique<std::mutex[]>(s.chunk_count);
+  chunk_slots_[idx] = std::make_unique<ChunkSlot[]>(s.chunk_count);
   {
     const std::lock_guard<std::mutex> lock(span_mu_);
     chunk_free_.resize(std::size_t{s.first_chunk} + s.chunk_count,
@@ -73,7 +73,17 @@ Heap::Heap(PersistentRegion& region, std::uint64_t heap_off,
            std::uint64_t heap_size)
     : region_(&region), heap_off_(heap_off), heap_size_(heap_size) {
   partial_runs_.assign(kSizeClasses.size(), {});
+  reset_homes();
   publish_span(solve_span(heap_off, heap_size), /*chunks_free=*/false);
+}
+
+void Heap::reset_homes() noexcept {
+  for (LaneShard& l : lanes_)
+    for (auto& h : l.home) h.store(kNoChunk, std::memory_order_relaxed);
+  const std::uint32_t spans = span_count_.load(std::memory_order_acquire);
+  for (std::uint32_t i = 0; i < spans; ++i)
+    for (std::uint32_t c = 0; c < spans_[i].chunk_count; ++c)
+      chunk_slots_[i][c].home = 0;
 }
 
 void Heap::adopt_span(std::uint64_t off, std::uint64_t size) {
@@ -192,7 +202,15 @@ std::uint32_t Heap::reclaim_empty_runs() {
     region_->memcpy_persist(region_->base() + desc_off(c), &word,
                             sizeof(word));
 
-    // Retire the transient hints (lock order: chunk -> class -> span).
+    // Retire the transient hints (lock order: chunk -> class -> span).  A
+    // home must not outlive its run: the chunk may come back as a run of
+    // another class.
+    if (ChunkSlot& slot = chunk_slot(c); slot.home != 0) {
+      std::uint32_t expect = c;
+      lanes_[slot.home - 1].home[d.class_idx].compare_exchange_strong(
+          expect, kNoChunk, std::memory_order_relaxed);
+      slot.home = 0;
+    }
     {
       const std::lock_guard<std::mutex> cl(class_mu_[d.class_idx]);
       auto& partials = partial_runs_[d.class_idx];
@@ -235,9 +253,9 @@ RunHeader* Heap::run_header(std::uint32_t chunk) noexcept {
 const RunHeader* Heap::run_header(std::uint32_t chunk) const noexcept {
   return reinterpret_cast<const RunHeader*>(chunk_data(chunk));
 }
-std::mutex& Heap::chunk_mutex(std::uint32_t chunk) const noexcept {
+Heap::ChunkSlot& Heap::chunk_slot(std::uint32_t chunk) const noexcept {
   const std::uint32_t i = span_index_of_chunk(chunk);
-  return chunk_mu_[i][chunk - spans_[i].first_chunk];
+  return chunk_slots_[i][chunk - spans_[i].first_chunk];
 }
 
 std::uint32_t Heap::chunk_of(std::uint64_t off) const noexcept {
@@ -262,12 +280,14 @@ void Heap::format() {
   region_->note_store_infra(table, s.chunk_count * sizeof(ChunkDesc));
   region_->persist(table, s.chunk_count * sizeof(ChunkDesc));
   partial_runs_.assign(kSizeClasses.size(), {});
+  reset_homes();
   const std::lock_guard<std::mutex> lock(span_mu_);
   chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), true);
 }
 
 void Heap::rebuild() {
   partial_runs_.assign(kSizeClasses.size(), {});
+  reset_homes();
   {
     const std::lock_guard<std::mutex> lock(span_mu_);
     chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), false);
@@ -347,7 +367,33 @@ bool Heap::run_has_free_block(std::uint32_t chunk) const noexcept {
   return false;
 }
 
-void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
+bool Heap::run_fits(std::uint32_t chunk, int class_idx) const noexcept {
+  const ChunkDesc& d = *chunk_desc(chunk);
+  return static_cast<ChunkState>(d.state) == ChunkState::Run &&
+         d.class_idx == static_cast<std::uint8_t>(class_idx) &&
+         run_has_free_block(chunk);
+}
+
+void Heap::acquire_run(RedoSession& redo, int class_idx, std::uint32_t lane,
+                       PreparedAlloc& a) {
+  a.claimed_span = 0;
+  // (0) The lane's home run: only its chunk lock, normally uncontended.
+  std::atomic<std::uint32_t>& home = lanes_[lane].home[class_idx];
+  if (const std::uint32_t c = home.load(std::memory_order_relaxed);
+      c != kNoChunk) {
+    std::unique_lock<std::mutex> lk(chunk_mutex(c));
+    ChunkSlot& slot = chunk_slot(c);
+    if (slot.home == lane + 1 && run_fits(c, class_idx)) {
+      a.chunk = c;
+      a.owner = std::move(lk);
+      return;
+    }
+    // Full, or reclaimed behind our back: drop it.  A full run returns to
+    // the shared lists with its next free (finish_free hints it).
+    if (slot.home == lane + 1) slot.home = 0;
+    home.store(kNoChunk, std::memory_order_relaxed);
+  }
+
   for (;;) {
     // (1) An idle partial run of this class.  Busy runs are skipped, not
     // waited on — that skip IS the sharding: concurrent same-class
@@ -364,14 +410,13 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
           busy_candidate = c;
           continue;
         }
-        if (run_has_free_block(c)) {
+        if (chunk_slot(c).home == 0 && run_has_free_block(c)) {
           a.chunk = c;
-          a.claimed_span = 0;
           a.owner = std::move(lk);
           return;
         }
-        partials.erase(partials.begin() +
-                       static_cast<std::ptrdiff_t>(i));  // stale: full
+        // Stale: full, or since adopted as a lane's home.
+        partials.erase(partials.begin() + static_cast<std::ptrdiff_t>(i));
       }
     }
 
@@ -408,20 +453,35 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
       return;
     }
 
+    // (3) No free chunk left: share another lane's home run.  It stays
+    // that lane's home.
+    for (std::uint32_t l = 0; l < kLaneCount; ++l) {
+      const std::uint32_t h =
+          lanes_[l].home[class_idx].load(std::memory_order_relaxed);
+      if (l == lane || h == kNoChunk) continue;
+      std::unique_lock<std::mutex> lk(chunk_mutex(h), std::try_to_lock);
+      if (!lk.owns_lock()) {
+        run_lock_skips_.fetch_add(1, std::memory_order_relaxed);
+        busy_candidate = h;
+        continue;
+      }
+      if (chunk_slot(h).home == l + 1 && run_fits(h, class_idx)) {
+        a.chunk = h;
+        a.owner = std::move(lk);
+        return;
+      }
+    }
+
     if (busy_candidate == kNoChunk)
       throw AllocError(ErrKind::OutOfSpace, "out of contiguous heap space");
 
-    // (3) No free chunk and every partial run is mid-operation: wait for
-    // one (no other lock held, so this cannot deadlock) and re-validate —
-    // its holder may have taken the last block.
+    // (4) Every candidate run is mid-operation: wait for one (no other
+    // lock held, so this cannot deadlock) and re-validate — its holder may
+    // have taken the last block.
     run_lock_waits_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lk(chunk_mutex(busy_candidate));
-    const ChunkDesc& d = *chunk_desc(busy_candidate);
-    if (static_cast<ChunkState>(d.state) == ChunkState::Run &&
-        d.class_idx == static_cast<std::uint8_t>(class_idx) &&
-        run_has_free_block(busy_candidate)) {
+    if (run_fits(busy_candidate, class_idx)) {
       a.chunk = busy_candidate;
-      a.claimed_span = 0;
       a.owner = std::move(lk);
       return;
     }
@@ -429,17 +489,19 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
 }
 
 PreparedAlloc Heap::stage_alloc(RedoSession& redo, std::uint64_t usable,
-                                std::uint32_t type_num, bool zero) {
+                                std::uint32_t type_num, bool zero,
+                                std::uint32_t lane) {
   if (usable == 0) throw AllocError(ErrKind::BadAlloc, "zero-size allocation");
-  alloc_ops_.fetch_add(1, std::memory_order_relaxed);
+  lanes_[lane].alloc_ops.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t total = usable + sizeof(AllocHeader);
   PreparedAlloc out;
+  out.lane = lane;
 
   const int cls = size_class_for(total);
   std::uint64_t block_off;  // pool offset of the block start
   if (cls >= 0) {
     const std::uint32_t block = kSizeClasses[cls];
-    acquire_run(redo, cls, out);
+    acquire_run(redo, cls, lane, out);
     const std::uint32_t c = out.chunk;
     const RunHeader* rh = run_header(c);
     try {
@@ -512,8 +574,13 @@ void Heap::hint_partial(std::uint8_t class_idx, std::uint32_t chunk) {
 void Heap::finish_alloc(PreparedAlloc& a) {
   const std::uint32_t c = a.chunk;
   const ChunkDesc& d = *chunk_desc(c);
-  if (static_cast<ChunkState>(d.state) == ChunkState::Run)
-    hint_partial(d.class_idx, c);
+  // A run from the shared lists or a fresh chunk becomes the lane's home
+  // (acquire_run cleared any previous one); other lanes' homes stay theirs.
+  if (ChunkSlot& slot = chunk_slot(c);
+      static_cast<ChunkState>(d.state) == ChunkState::Run && slot.home == 0) {
+    slot.home = a.lane + 1;
+    lanes_[a.lane].home[d.class_idx].store(c, std::memory_order_relaxed);
+  }
   // Huge spans (and fresh-run chunks) were claimed in chunk_free_ at stage
   // time; nothing further to publish.
   if (a.owner.owns_lock()) a.owner.unlock();
@@ -527,7 +594,7 @@ void Heap::cancel_alloc(PreparedAlloc& a) {
 }
 
 PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
-                              bool tolerate_dead) {
+                              bool tolerate_dead, std::uint32_t lane) {
   PreparedFree out;
   const std::uint64_t block_off = data_off - sizeof(AllocHeader);
   const std::uint32_t c =
@@ -561,7 +628,7 @@ PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
     ChunkDesc free_desc{static_cast<std::uint8_t>(ChunkState::Free), 0, 0, 0};
     redo.stage(desc_off(c), desc_word(free_desc));
   }
-  free_ops_.fetch_add(1, std::memory_order_relaxed);
+  lanes_[lane].free_ops.fetch_add(1, std::memory_order_relaxed);
   out.data_off = data_off;
   out.chunk = c;
   out.staged = true;
@@ -573,7 +640,7 @@ void Heap::finish_free(PreparedFree& f) {
   const std::uint32_t c = f.chunk;
   const ChunkDesc& d = *chunk_desc(c);
   if (static_cast<ChunkState>(d.state) == ChunkState::Run) {
-    hint_partial(d.class_idx, c);
+    if (chunk_slot(c).home == 0) hint_partial(d.class_idx, c);
   } else {
     // The span's head descriptor became Free; covered chunks follow suit
     // transiently.  Recompute the span from the allocation header.
@@ -747,8 +814,10 @@ HeapStats Heap::stats() const {
           ? 0.0
           : 1.0 - static_cast<double>(s.live_bytes) /
                       static_cast<double>(s.reserved_bytes);
-  s.alloc_ops = alloc_ops_.load(std::memory_order_relaxed);
-  s.free_ops = free_ops_.load(std::memory_order_relaxed);
+  for (const LaneShard& l : lanes_) {
+    s.alloc_ops += l.alloc_ops.load(std::memory_order_relaxed);
+    s.free_ops += l.free_ops.load(std::memory_order_relaxed);
+  }
   s.run_lock_skips = run_lock_skips_.load(std::memory_order_relaxed);
   s.run_lock_waits = run_lock_waits_.load(std::memory_order_relaxed);
   return s;

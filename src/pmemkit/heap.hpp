@@ -25,14 +25,23 @@
 // chunk.  Every stage_* call acquires the target chunk's mutex and hands it
 // back inside the Prepared* guard; the caller keeps it across its redo
 // commit and releases it via finish_*/cancel_*.  Around that core:
-//   * per-size-class mutexes guard the partial-run hint lists; busy runs
-//     are skipped (try-lock), so same-class allocations from different
-//     lanes spread across runs instead of queueing;
+//   * each lane owns one *home run* per size class: stage_alloc on a lane
+//     allocates from that run under its chunk lock alone, so lanes that
+//     allocate the same class never meet on a shared list or a shared run;
+//   * a miss (no home, or the home just filled up) goes to the shared
+//     per-class partial-run lists, guarded by per-class mutexes; busy runs
+//     are skipped (try-lock), and the run found becomes the lane's new home
+//     at finish_alloc.  A full home is dropped and returns to the shared
+//     lists on its next free; another lane's home is taken only when no
+//     fresh chunk is left, so homes never cause an OutOfSpace;
 //   * one span mutex guards the transient free-chunk map; fresh chunks are
 //     claimed there eagerly at stage time so concurrent span searches never
 //     overlap, and cancel_* returns the claim;
 //   * lock order is chunk -> (class | span); class- and span-holders only
-//     ever try-lock chunks, so the order cannot cycle.
+//     ever try-lock chunks, so the order cannot cycle;
+//   * nothing shared is written per operation: the op counters live per
+//     lane, and each chunk's mutex sits on its own cache line (home runs
+//     are often adjacent chunks).
 // Recovery and rebuild still run single-threaded on the open path.
 // Span-table mutation (extend/retract) happens only on the open path or
 // under a fully quiesced pool (every lane held), published through an
@@ -62,6 +71,9 @@ struct PreparedAlloc {
   std::uint64_t total_size = 0;  ///< block/span bytes incl. header
   std::uint32_t chunk = 0;       ///< head chunk of the block/span
   std::uint32_t claimed_span = 0;  ///< fresh chunks claimed transiently
+  /// The staging lane; a run that is no lane's home yet becomes this
+  /// lane's home at finish_alloc.
+  std::uint32_t lane = 0;
   std::unique_lock<std::mutex> owner;  ///< chunk exclusivity, stage->finish
 };
 
@@ -152,9 +164,12 @@ class Heap {
   /// Writes the AllocHeader immediately (inert until the staged bitmap /
   /// chunk-state cells commit).  When `zero` is set the data area is
   /// cleared and persisted before publication.  The returned guard owns the
-  /// target chunk until finish_alloc()/cancel_alloc().
+  /// target chunk until finish_alloc()/cancel_alloc().  `lane` is the lane
+  /// the caller holds (its home runs serve the allocation); at most one
+  /// stage_alloc per lane may be in flight.
   PreparedAlloc stage_alloc(RedoSession& redo, std::uint64_t usable,
-                            std::uint32_t type_num, bool zero);
+                            std::uint32_t type_num, bool zero,
+                            std::uint32_t lane);
 
   /// Transient bookkeeping after the session committed; releases the chunk.
   void finish_alloc(PreparedAlloc& a);
@@ -169,8 +184,9 @@ class Heap {
   /// invalid/double frees.  Safe to call for an object that a recovery
   /// already released when `tolerate_dead` is set (idempotent replay).
   /// Result has staged == false when the object was already dead.
+  /// `lane` (the caller's) only selects the op counter.
   PreparedFree stage_free(RedoSession& redo, std::uint64_t data_off,
-                          bool tolerate_dead = false);
+                          bool tolerate_dead, std::uint32_t lane);
 
   /// Transient bookkeeping after a committed free; releases the chunk.
   void finish_free(PreparedFree& f);
@@ -254,7 +270,25 @@ class Heap {
   [[nodiscard]] RunHeader* run_header(std::uint32_t chunk) noexcept;
   [[nodiscard]] const RunHeader* run_header(std::uint32_t chunk) const
       noexcept;
-  [[nodiscard]] std::mutex& chunk_mutex(std::uint32_t chunk) const noexcept;
+  /// Transient per-chunk state, one cache line per chunk.
+  struct alignas(64) ChunkSlot {
+    std::mutex mu;
+    std::uint32_t home = 0;  ///< 1 + lane whose home run this is; guarded by mu
+  };
+  /// Per-lane state, one cache line apart per lane.
+  struct alignas(64) LaneShard {
+    /// Home run per size class (kNoChunk sentinel ~0u when none).  Written
+    /// by the lane's holder, and cleared by reclaim_empty_runs, each time
+    /// under the named chunk's lock.
+    std::array<std::atomic<std::uint32_t>, kSizeClasses.size()> home;
+    std::atomic<std::uint64_t> alloc_ops{0};
+    std::atomic<std::uint64_t> free_ops{0};
+  };
+
+  [[nodiscard]] ChunkSlot& chunk_slot(std::uint32_t chunk) const noexcept;
+  [[nodiscard]] std::mutex& chunk_mutex(std::uint32_t chunk) const noexcept {
+    return chunk_slot(chunk).mu;
+  }
 
   /// Locates the chunk holding pool offset `off`; kInvalid when outside.
   [[nodiscard]] std::uint32_t chunk_of(std::uint64_t off) const noexcept;
@@ -262,14 +296,24 @@ class Heap {
   /// True when the (locked) run at `chunk` still has a free block.
   [[nodiscard]] bool run_has_free_block(std::uint32_t chunk) const noexcept;
 
+  /// True when the (locked) `chunk` is a Run of `class_idx` with a free
+  /// block — the re-validation after taking a run's lock.
+  [[nodiscard]] bool run_fits(std::uint32_t chunk, int class_idx) const
+      noexcept;
+
+  /// Forgets every home run (create/rebuild path).
+  void reset_homes() noexcept;
+
   /// Records `chunk` in class `class_idx`'s partial-run hint list (no-op if
   /// already hinted).
   void hint_partial(std::uint8_t class_idx, std::uint32_t chunk);
 
-  /// Picks a run of `class_idx` with a free block, creating one if needed.
+  /// Picks a run of `class_idx` with a free block: the lane's home run,
+  /// else a shared partial run or a fresh chunk, else another lane's home.
   /// On return `a.owner` holds the run's chunk lock and `a.chunk` /
   /// `a.claimed_span` are set.
-  void acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a);
+  void acquire_run(RedoSession& redo, int class_idx, std::uint32_t lane,
+                   PreparedAlloc& a);
 
   /// Finds `span` contiguous transiently-free chunks within one heap span;
   /// kNoChunk sentinel (~0u) when exhausted.  Caller must hold span_mu_.
@@ -288,9 +332,9 @@ class Heap {
   std::array<Span, kMaxHeapSpans> spans_{};
   std::atomic<std::uint32_t> span_count_{0};
   std::atomic<std::uint32_t> chunk_count_{0};
-  /// Per-span mutex blocks (never freed on retract: a stats walker racing
-  /// a shrink may still be parked on one).
-  std::array<std::unique_ptr<std::mutex[]>, kMaxHeapSpans> chunk_mu_;
+  /// Per-span chunk-slot blocks (never freed on retract: a stats walker
+  /// racing a shrink may still be parked on one's mutex).
+  std::array<std::unique_ptr<ChunkSlot[]>, kMaxHeapSpans> chunk_slots_;
 
   // Transient state, sharded (see header comment for the lock order).
   std::vector<std::vector<std::uint32_t>> partial_runs_;  ///< per class
@@ -298,8 +342,7 @@ class Heap {
   std::vector<bool> chunk_free_;  ///< transient mirror of Free state
   mutable std::mutex span_mu_;    ///< guards chunk_free_
 
-  std::atomic<std::uint64_t> alloc_ops_{0};
-  std::atomic<std::uint64_t> free_ops_{0};
+  std::array<LaneShard, kLaneCount> lanes_{};
   std::atomic<std::uint64_t> run_lock_skips_{0};
   std::atomic<std::uint64_t> run_lock_waits_{0};
 };

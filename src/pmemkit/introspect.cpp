@@ -19,26 +19,30 @@ PoolReport inspect(const ObjectPool& pool) {
   // the published bytes are recomputed the way recovery would see them:
   // the checksum-valid current-generation entry prefix.  Both that scan
   // and the header reads are only performed where they cannot race with a
-  // concurrent transaction: lanes sitting in the free pool (no one can
-  // check one out while lane_mu_ is held, and a past owner's writes
-  // happened-before its mutex-protected release) and the calling thread's
-  // own transaction lane.  A lane another thread is actively transacting
-  // on is in motion end to end — it is counted, never read.
+  // concurrent transaction: lanes this call checks out itself for the read
+  // (a past owner's writes happened-before its release of the lane's busy
+  // flag) and the calling thread's own transaction lane.  A lane another
+  // thread holds is in motion end to end — it is counted, never read.
   auto& mutable_pool = const_cast<ObjectPool&>(pool);
-  {
-    const std::lock_guard<std::mutex> lane_lock(mutable_pool.lane_mu_);
-    std::vector<bool> lane_free(h.lane_count, false);
-    for (const std::uint32_t l : mutable_pool.free_lanes_)
-      lane_free[l] = true;
-    const std::uint32_t own_lane = mutable_pool.current_tx_lane();
-    for (std::uint32_t l = 0; l < h.lane_count; ++l) {
-      if (!lane_free[l] && l != own_lane) {
-        ++r.lanes_in_flight;
-        continue;
+  const std::uint32_t own_lane = mutable_pool.current_tx_lane();
+  const auto lanes = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(h.lane_count, kLaneCount));
+  for (std::uint32_t l = 0; l < lanes; ++l) {
+    const bool held = l != own_lane && mutable_pool.try_claim_lane(l);
+    if (!held && l != own_lane) {
+      ++r.lanes_in_flight;
+      continue;
+    }
+    struct Checkout {
+      ObjectPool* pool;  // null: the calling thread's own lane
+      std::uint32_t lane;
+      ~Checkout() {
+        if (pool != nullptr) pool->release_lane_raw(lane);
       }
-      const LaneHeader& lane = mutable_pool.lane_header(l);
-      const auto state = static_cast<LaneState>(lane.state);
-      if (state == LaneState::Idle && lane.redo.valid == 0) continue;
+    } checkout{held ? &mutable_pool : nullptr, l};
+    const LaneHeader& lane = mutable_pool.lane_header(l);
+    const auto state = static_cast<LaneState>(lane.state);
+    if (state != LaneState::Idle || lane.redo.valid != 0) {
       const std::uint64_t undo_bytes =
           state == LaneState::Idle
               ? 0

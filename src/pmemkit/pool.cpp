@@ -56,6 +56,37 @@ thread_local std::vector<std::pair<const ObjectPool*, Transaction*>>
 thread_local std::vector<std::pair<const ObjectPool*, std::uint32_t>>
     t_lane_sessions;
 
+/// Per-thread "last lane used" hints, keyed by pool serial: a thread that
+/// comes back to a pool tries its previous lane first, so steady-state
+/// threads keep distinct lanes (and with them distinct home runs) without
+/// any shared state.  A few slots cover the pools one thread alternates
+/// between; a pool without a hint starts from the highest free lane.
+struct LaneHint {
+  std::uint64_t pool_serial = 0;
+  std::uint32_t lane = 0;
+};
+constexpr std::size_t kLaneHintSlots = 4;
+thread_local std::array<LaneHint, kLaneHintSlots> t_lane_hints{};
+thread_local std::size_t t_lane_hint_clock = 0;
+
+[[nodiscard]] LaneHint* lane_hint_of(std::uint64_t serial) noexcept {
+  for (LaneHint& h : t_lane_hints)
+    if (h.pool_serial == serial) return &h;
+  return nullptr;
+}
+
+void remember_lane(std::uint64_t serial, std::uint32_t lane) noexcept {
+  LaneHint* h = lane_hint_of(serial);
+  if (h == nullptr)
+    h = &t_lane_hints[t_lane_hint_clock++ % kLaneHintSlots];
+  *h = LaneHint{serial, lane};
+}
+
+std::atomic<std::uint64_t> g_pool_serial{0};
+
+/// "No lane" result of a failed claim (lane indices are 0 .. kLaneCount-1).
+constexpr auto kNoLane = static_cast<std::uint32_t>(kLaneCount);
+
 [[nodiscard]] const std::uint32_t* session_lane_of(
     const ObjectPool* pool) noexcept {
   for (const auto& [p, lane] : t_lane_sessions)
@@ -193,11 +224,10 @@ bool thread_in_tx() noexcept { return !t_current_tx.empty(); }
 ObjectPool::ObjectPool(MappedFile file, Options options)
     : region_(std::move(file), options.pmemcheck || env_pmemcheck()),
       path_(region_.file().path()),
-      tx_publish_(options.tx_publish) {
+      tx_publish_(options.tx_publish),
+      serial_(g_pool_serial.fetch_add(1, std::memory_order_relaxed) + 1) {
   if (PmemSan* san = region_.pmemsan())
     san->set_meta_bound(kHeaderSize + kLaneCount * kLaneSize);
-  free_lanes_.reserve(kLaneCount);
-  for (std::uint32_t l = 0; l < kLaneCount; ++l) free_lanes_.push_back(l);
 }
 
 ObjectPool::OpLane::OpLane(ObjectPool& pool) : pool_(pool) {
@@ -431,7 +461,8 @@ ObjId ObjectPool::alloc_atomic(std::uint64_t size, std::uint32_t type_num,
                                ObjId* dest, bool zero) {
   const OpLane lane(*this);
   RedoSession session(region_, lane_header(lane.lane()).redo);
-  PreparedAlloc pa = heap_->stage_alloc(session, size, type_num, zero);
+  PreparedAlloc pa =
+      heap_->stage_alloc(session, size, type_num, zero, lane.lane());
   const ObjId id{pool_id(), pa.data_off};
 
   const auto* dp = reinterpret_cast<const std::byte*>(dest);
@@ -460,7 +491,8 @@ void ObjectPool::free_atomic(ObjId* dest) {
 
   const OpLane lane(*this);
   RedoSession session(region_, lane_header(lane.lane()).redo);
-  PreparedFree pf = heap_->stage_free(session, oid.off);
+  PreparedFree pf = heap_->stage_free(session, oid.off,
+                                      /*tolerate_dead=*/false, lane.lane());
   if (!pf.staged) return;
   const auto* dp = reinterpret_cast<const std::byte*>(dest);
   const bool dest_in_pool =
@@ -476,7 +508,8 @@ void ObjectPool::free_atomic(ObjId oid) {
   if (oid.pool_id != pool_id()) throw AllocError(ErrKind::BadOid, "oid from another pool");
   const OpLane lane(*this);
   RedoSession session(region_, lane_header(lane.lane()).redo);
-  PreparedFree pf = heap_->stage_free(session, oid.off);
+  PreparedFree pf = heap_->stage_free(session, oid.off,
+                                      /*tolerate_dead=*/false, lane.lane());
   if (!pf.staged) return;
   session.commit();
   heap_->finish_free(pf);
@@ -524,7 +557,8 @@ ObjId ObjectPool::root_raw(std::uint64_t size, std::uint32_t type_num) {
 
   const OpLane lane(*this);
   RedoSession session(region_, lane_header(lane.lane()).redo);
-  PreparedAlloc pa = heap_->stage_alloc(session, size, type_num, /*zero=*/true);
+  PreparedAlloc pa = heap_->stage_alloc(session, size, type_num,
+                                        /*zero=*/true, lane.lane());
   try {
     // Root oid + size publish atomically with the allocation.
     session.stage(region_.offset_of(&h.root_off), pa.data_off);
@@ -573,23 +607,56 @@ void ObjectPool::release_tx_lane(std::uint32_t lane) {
   release_lane_raw(lane);
 }
 
-std::uint32_t ObjectPool::acquire_lane_raw() {
+bool ObjectPool::try_claim_lane(std::uint32_t lane) noexcept {
+  std::atomic<bool>& busy = lane_flags_[lane].busy;
+  // The plain load keeps a scan from writing lines other threads own.
+  return !busy.load(std::memory_order_relaxed) &&
+         !busy.exchange(true, std::memory_order_acquire);
+}
+
+std::uint32_t ObjectPool::try_claim_any_lane() noexcept {
+  for (std::uint32_t l = kLaneCount; l-- > 0;)
+    if (try_claim_lane(l)) return l;
+  return kNoLane;
+}
+
+template <typename Claim>
+std::uint32_t ObjectPool::wait_for_lane(Claim claim) {
   std::unique_lock<std::mutex> lock(lane_mu_);
-  if (free_lanes_.empty()) {
-    lane_waits_.fetch_add(1, std::memory_order_relaxed);
-    lane_cv_.wait(lock, [this] { return !free_lanes_.empty(); });
+  lane_sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  // Pairs with the seq_cst release in release_lane_raw: either the
+  // re-check below sees the freed flag, or the releaser sees this sleeper
+  // and notifies — it must take lane_mu_ first, which is held until wait().
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  std::uint32_t lane = claim();
+  while (lane == kNoLane) {
+    lane_cv_.wait(lock);
+    lane = claim();
   }
-  const std::uint32_t lane = free_lanes_.back();
-  free_lanes_.pop_back();
+  lane_sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  return lane;
+}
+
+std::uint32_t ObjectPool::acquire_lane_raw() {
+  const LaneHint* hint = lane_hint_of(serial_);
+  std::uint32_t lane = hint != nullptr && try_claim_lane(hint->lane)
+                           ? hint->lane
+                           : try_claim_any_lane();
+  if (lane == kNoLane) {
+    lane_waits_.fetch_add(1, std::memory_order_relaxed);
+    lane = wait_for_lane([this] { return try_claim_any_lane(); });
+  }
+  if (hint == nullptr || hint->lane != lane) remember_lane(serial_, lane);
   return lane;
 }
 
 void ObjectPool::release_lane_raw(std::uint32_t lane) {
-  {
-    const std::lock_guard<std::mutex> lock(lane_mu_);
-    free_lanes_.push_back(lane);
+  lane_flags_[lane].busy.store(false, std::memory_order_seq_cst);
+  if (lane_sleepers_.load(std::memory_order_seq_cst) != 0) {
+    { const std::lock_guard<std::mutex> lock(lane_mu_); }
+    // All: a Quiesce may be waiting for one particular lane.
+    lane_cv_.notify_all();
   }
-  lane_cv_.notify_one();
 }
 
 ObjectPool::LaneSession::LaneSession(ObjectPool& pool) : pool_(pool) {
@@ -613,21 +680,20 @@ ObjectPool::Quiesce::Quiesce(ObjectPool& pool) : pool_(pool) {
     throw TxError(ErrKind::TxMisuse,
                   "pool evolution requires the calling thread to hold no "
                   "transaction or LaneSession on the pool");
-  std::unique_lock<std::mutex> lock(pool.lane_mu_);
-  if (pool.free_lanes_.size() != kLaneCount)
-    pool.lane_waits_.fetch_add(1, std::memory_order_relaxed);
-  pool.lane_cv_.wait(lock,
-                     [&] { return pool.free_lanes_.size() == kLaneCount; });
-  pool.free_lanes_.clear();  // hold every lane: nothing can start
+  // Hold every lane: nothing can start.  Ascending order, so two quiescers
+  // cannot deadlock each other.
+  bool waited = false;
+  for (std::uint32_t l = 0; l < kLaneCount; ++l) {
+    if (pool.try_claim_lane(l)) continue;
+    waited = true;
+    (void)pool.wait_for_lane(
+        [&] { return pool.try_claim_lane(l) ? l : kNoLane; });
+  }
+  if (waited) pool.lane_waits_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ObjectPool::Quiesce::~Quiesce() {
-  {
-    const std::lock_guard<std::mutex> lock(pool_.lane_mu_);
-    for (std::uint32_t l = 0; l < kLaneCount; ++l)
-      pool_.free_lanes_.push_back(l);
-  }
-  pool_.lane_cv_.notify_all();
+  for (std::uint32_t l = 0; l < kLaneCount; ++l) pool_.release_lane_raw(l);
 }
 
 PoolStats ObjectPool::stats() const {

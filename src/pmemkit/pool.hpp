@@ -8,6 +8,7 @@
 // the crash harness reads and checks the persistency rules against it.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -255,7 +256,7 @@ class ObjectPool {
 
   /// Pins a transaction lane to the constructing thread for the session's
   /// lifetime: every run_tx (and atomic-op redo session) this thread runs
-  /// on the pool reuses the pinned lane without touching the lane mutex.
+  /// on the pool reuses the pinned lane without checking a lane out.
   /// This is the server-worker idiom — a shard thread that commits one
   /// transaction per request batch checks its lane out once, not per batch.
   /// One session per thread per pool (a second construction throws
@@ -298,8 +299,17 @@ class ObjectPool {
   /// when it has one, else a lane from the free pool (raw path).
   std::uint32_t acquire_tx_lane();
   void release_tx_lane(std::uint32_t lane);
+  /// Raw checkout: the lane this thread last used on the pool when it is
+  /// free, else the highest free lane; sleeps only when all are busy.
   std::uint32_t acquire_lane_raw();
   void release_lane_raw(std::uint32_t lane);
+  /// Sets `lane`'s busy flag if it was clear (never blocks).
+  [[nodiscard]] bool try_claim_lane(std::uint32_t lane) noexcept;
+  /// try_claim_lane over every lane, highest first; kLaneCount when none.
+  [[nodiscard]] std::uint32_t try_claim_any_lane() noexcept;
+  /// Sleeps on lane_cv_ until `claim` (a try_claim_* call) succeeds.
+  template <typename Claim>
+  std::uint32_t wait_for_lane(Claim claim);
   void set_current_tx(Transaction* tx);
   /// Lane index of the calling thread's open transaction on this pool, or
   /// kLaneCount when there is none.  Lets introspection recognize the one
@@ -325,8 +335,9 @@ class ObjectPool {
     bool owned_;
   };
 
-  /// All-lane quiesce for evolution ops: checks out every lane (raw path)
-  /// so no transaction or atomic op can be in flight, then hands them back.
+  /// All-lane quiesce for evolution ops: checks out every lane (through
+  /// the same busy flags as the raw path) so no transaction or atomic op
+  /// can be in flight, then hands them back.
   /// Throws TxError(TxMisuse) when the calling thread itself holds a lane.
   class Quiesce {
    public:
@@ -351,11 +362,22 @@ class ObjectPool {
   /// state allocation takes only the heap's sharded locks.
   std::mutex root_mu_;
 
-  /// Transaction lane pool (lanes 0 .. kLaneCount-1).
+  /// Transaction lane pool (lanes 0 .. kLaneCount-1): one busy flag per
+  /// lane, each on its own cache line, so a checkout touches no line other
+  /// threads write.  lane_mu_/lane_cv_ serve only threads that sleep
+  /// because every lane is busy; lane_sleepers_ tells a release to wake
+  /// them.
+  struct alignas(64) LaneFlag {
+    std::atomic<bool> busy{false};
+  };
+  std::array<LaneFlag, kLaneCount> lane_flags_{};
+  std::atomic<std::uint32_t> lane_sleepers_{0};
   std::mutex lane_mu_;
   std::condition_variable lane_cv_;
-  std::vector<std::uint32_t> free_lanes_;
   std::atomic<std::uint64_t> lane_waits_{0};
+  /// Process-unique handle number: keys the per-thread last-lane hint, so
+  /// a pool reopened at a recycled address starts without history.
+  const std::uint64_t serial_;
 };
 
 // --- open-pool registry ------------------------------------------------------

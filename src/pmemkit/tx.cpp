@@ -69,9 +69,10 @@ std::vector<ParsedEntry> parse_entries(const std::byte* undo,
 /// recovery replay is idempotent.  Concurrency comes from the heap's chunk
 /// locks — no global allocator mutex.
 void atomic_free(PersistentRegion& region, Heap& heap, RedoLog& redo,
-                 std::uint64_t off) {
+                 std::uint64_t off, std::uint32_t lane) {
   RedoSession session(region, redo);
-  PreparedFree pf = heap.stage_free(session, off, /*tolerate_dead=*/true);
+  PreparedFree pf =
+      heap.stage_free(session, off, /*tolerate_dead=*/true, lane);
   if (pf.staged) {
     session.commit();
     heap.finish_free(pf);
@@ -122,8 +123,8 @@ void retire_lane(PersistentRegion& region, LaneHeader& lh, std::byte* undo,
 
 /// Rolls a lane back: pre-images restored in reverse, fresh allocations
 /// released, lane retired.
-void rollback_lane(PersistentRegion& region, Heap& heap, LaneHeader& lh,
-                   std::byte* undo, TxPublish publish) {
+void rollback_lane(PersistentRegion& region, Heap& heap, std::uint32_t lane,
+                   LaneHeader& lh, std::byte* undo, TxPublish publish) {
   const auto entries = parse_entries(undo, lh.undo_gen);
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     switch (it->kind) {
@@ -132,7 +133,7 @@ void rollback_lane(PersistentRegion& region, Heap& heap, LaneHeader& lh,
         crash_point("tx:rollback-snapshot");
         break;
       case UndoKind::AllocAction:
-        atomic_free(region, heap, lh.redo, it->off);
+        atomic_free(region, heap, lh.redo, it->off, lane);
         crash_point("tx:rollback-alloc");
         break;
       case UndoKind::FreeAction:
@@ -145,12 +146,12 @@ void rollback_lane(PersistentRegion& region, Heap& heap, LaneHeader& lh,
 
 /// Finishes a committed lane: performs (or re-performs) deferred frees.
 void finish_committed_lane(PersistentRegion& region, Heap& heap,
-                           LaneHeader& lh, std::byte* undo,
-                           TxPublish publish) {
+                           std::uint32_t lane, LaneHeader& lh,
+                           std::byte* undo, TxPublish publish) {
   const auto entries = parse_entries(undo, lh.undo_gen);
   for (const ParsedEntry& e : entries) {
     if (e.kind != UndoKind::FreeAction) continue;
-    atomic_free(region, heap, lh.redo, e.off);
+    atomic_free(region, heap, lh.redo, e.off, lane);
     crash_point("tx:freed");
   }
   retire_lane(region, lh, undo, publish);
@@ -393,7 +394,7 @@ ObjId Transaction::alloc(std::uint64_t size, std::uint32_t type_num,
                          bool zero) {
   RedoSession session(pool_->region(), pool_->lane_header(lane_).redo);
   PreparedAlloc pa =
-      pool_->heap_->stage_alloc(session, size, type_num, zero);
+      pool_->heap_->stage_alloc(session, size, type_num, zero, lane_);
   try {
     // Publish the undo action first: a crash can roll the allocation back,
     // never leak it.
@@ -453,16 +454,17 @@ void Transaction::commit() {
   crash_point("tx:committed");
 
   // (3) deferred frees + retire.
-  finish_committed_lane(region, *pool_->heap_, lh, pool_->lane_undo(lane_),
-                        pool_->tx_publish());
+  finish_committed_lane(region, *pool_->heap_, lane_, lh,
+                        pool_->lane_undo(lane_), pool_->tx_publish());
   if (PmemSan* san = region.pmemsan()) san->tx_end(lane_);
   committed_ = true;
   finished_ = true;
 }
 
 void Transaction::abort() {
-  rollback_lane(pool_->region(), *pool_->heap_, pool_->lane_header(lane_),
-                pool_->lane_undo(lane_), pool_->tx_publish());
+  rollback_lane(pool_->region(), *pool_->heap_, lane_,
+                pool_->lane_header(lane_), pool_->lane_undo(lane_),
+                pool_->tx_publish());
   if (PmemSan* san = pool_->region().pmemsan()) san->tx_abort(lane_);
   finished_ = true;
 }
@@ -512,13 +514,13 @@ bool recover_lanes(ObjectPool& pool) {
         break;
       }
       case LaneState::Active:
-        rollback_lane(region, *pool.heap_, lh, pool.lane_undo(lane),
+        rollback_lane(region, *pool.heap_, lane, lh, pool.lane_undo(lane),
                       pool.tx_publish());
         changed = true;
         break;
       case LaneState::Committed:
-        finish_committed_lane(region, *pool.heap_, lh, pool.lane_undo(lane),
-                              pool.tx_publish());
+        finish_committed_lane(region, *pool.heap_, lane, lh,
+                              pool.lane_undo(lane), pool.tx_publish());
         changed = true;
         break;
       default:

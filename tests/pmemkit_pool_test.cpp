@@ -6,9 +6,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
 
 namespace pk = cxlpmem::pmemkit;
@@ -134,11 +136,14 @@ TEST_F(PoolTest, OpenRejectsNonPoolFile) {
 
 TEST_F(PoolTest, OpenDetectsHeaderCorruption) {
   { auto p = pk::ObjectPool::create(pool_path(), "l", kSize); }
-  // Flip a byte inside the checksummed identity area (pool_id).
+  // Flip a byte inside the checksummed identity area (pool_id).  Inverted,
+  // not overwritten: the random pool id may already hold any given value.
   std::fstream f(pool_path(),
                  std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(80);
+  const char old = static_cast<char>(f.get());
   f.seekp(80);
-  f.put('\x5a');
+  f.put(static_cast<char>(~old));
   f.close();
   EXPECT_THROW(pk::ObjectPool::open(pool_path(), "l"), pk::PoolError);
 }
@@ -228,6 +233,105 @@ TEST_F(PoolTest, StatsReflectAllocations) {
   EXPECT_GT(after.heap.allocated_bytes, before.heap.allocated_bytes);
   EXPECT_EQ(after.lane_count, pk::kLaneCount);
   EXPECT_EQ(after.heap.alloc_ops, before.heap.alloc_ops + 2);
+}
+
+// Home runs (one per lane and size class) must never cost capacity: with
+// no free chunk left, a lane without a usable home shares another lane's
+// home run instead of failing.  Lane A is the main thread's LaneSession;
+// each `on_lane_b` call runs on a fresh thread, which (no lane history,
+// A holding the top lane) is always handed the same next lane.
+TEST_F(PoolTest, LaneWithoutFreeChunkSharesAnotherLanesHomeRun) {
+  auto p = pk::ObjectPool::create(pool_path(), "homes",
+                                  pk::ObjectPool::min_pool_size());
+  const pk::ObjectPool::LaneSession lane_a(*p);
+  const auto on_lane_b = [&](std::uint64_t size) {
+    pk::ObjId oid;
+    std::uint32_t lane = 0;
+    std::string error;
+    std::thread([&] {
+      const pk::ObjectPool::LaneSession lane_b(*p);
+      lane = lane_b.lane();
+      try {
+        oid = p->alloc_atomic(size, 2);
+      } catch (const pk::AllocError& e) {
+        error = e.what();
+      }
+    }).join();
+    EXPECT_NE(lane, lane_a.lane());
+    EXPECT_EQ(error, "") << "lane B, " << size << " bytes";
+    return oid;
+  };
+  const auto chunk_of = [&](pk::ObjId o) {
+    return p->heap().chunk_index_of(o.off);
+  };
+
+  const pk::ObjId a1 = p->alloc_atomic(1000, 1);  // A's 1 KiB-class home
+  const pk::ObjId b1 = on_lane_b(100);            // B's 128 B-class home
+  ASSERT_NE(chunk_of(a1), chunk_of(b1));
+  // Use up every free chunk with single-chunk huge spans.
+  int fillers = 0;
+  for (;; ++fillers) {
+    try {
+      (void)p->alloc_atomic(200u << 10, 3);
+    } catch (const pk::AllocError& e) {
+      ASSERT_EQ(e.kind(), pk::ErrKind::OutOfSpace);
+      break;
+    }
+  }
+  ASSERT_GT(fillers, 0);
+  ASSERT_EQ(p->stats().heap.free_chunks, 0u);
+
+  // Each lane allocates the class only the other lane has a home run for.
+  const pk::ObjId b2 = on_lane_b(1000);
+  ASSERT_FALSE(b2.is_null());
+  EXPECT_EQ(chunk_of(b2), chunk_of(a1));
+  pk::ObjId a2;
+  ASSERT_NO_THROW(a2 = p->alloc_atomic(100, 1));
+  EXPECT_EQ(chunk_of(a2), chunk_of(b1));
+
+  // A's home keeps serving A until its last block, then space runs out.
+  const std::uint32_t blocks = pk::blocks_per_run(1024);
+  for (std::uint32_t i = 2; i < blocks; ++i) {
+    pk::ObjId o;
+    ASSERT_NO_THROW(o = p->alloc_atomic(1000, 1)) << "block " << i;
+    EXPECT_EQ(chunk_of(o), chunk_of(a1));
+  }
+  EXPECT_THROW((void)p->alloc_atomic(1000, 1), pk::AllocError);
+  EXPECT_TRUE(pk::inspect(*p).consistent);
+}
+
+// reclaim_empty_runs() returning a home run to the free map must retire
+// the home with it: the chunk may come back as a run of another class, and
+// a stale home would place the old class's blocks into it.
+TEST_F(PoolTest, ReclaimedHomeRunIsNotReusedForAnotherClass) {
+  auto p = pk::ObjectPool::create(pool_path(), "homes",
+                                  pk::ObjectPool::min_pool_size());
+  const pk::ObjectPool::LaneSession lane_a(*p);
+  const auto chunk_of = [&](pk::ObjId o) {
+    return p->heap().chunk_index_of(o.off);
+  };
+
+  pk::ObjId a1 = p->alloc_atomic(1000, 1);  // A's 1 KiB-class home
+  const std::uint32_t home = chunk_of(a1);
+  p->free_atomic(&a1);
+  ASSERT_GE(p->heap().reclaim_empty_runs(), 1u);
+
+  // Another lane claims the lowest free chunk — A's former home — for the
+  // 128 B class.
+  pk::ObjId b1;
+  std::thread([&] {
+    const pk::ObjectPool::LaneSession lane_b(*p);
+    b1 = p->alloc_atomic(100, 2);
+  }).join();
+  ASSERT_EQ(chunk_of(b1), home);
+
+  const pk::ObjId a2 = p->alloc_atomic(1000, 1);
+  EXPECT_NE(chunk_of(a2), home);
+  EXPECT_EQ(p->usable_size(a2), 1000u);
+  EXPECT_EQ(p->type_of(b1), 2u);
+  const pk::PoolReport report = pk::inspect(*p);
+  EXPECT_TRUE(report.consistent);
+  EXPECT_EQ(report.heap.object_count, 2u);
 }
 
 // Sharded-allocator stress: concurrent atomic alloc/free and transactions
