@@ -56,7 +56,9 @@ class Pool {
   /// skips/waits) — the signal a multi-threaded producer watches to decide
   /// whether the pool, not the workload, is the bottleneck — and, since
   /// the evolution work, fragmentation (heap.live_bytes / reserved_bytes /
-  /// fragmentation), layout_version and the resize count.
+  /// fragmentation), layout_version and the resize count.  O(lanes): the
+  /// heap keeps occupancy in per-lane counters, so this is cheap enough to
+  /// poll after every batch.
   [[nodiscard]] pmemkit::PoolStats stats() const { return impl_->stats(); }
 
   // --- online evolution ------------------------------------------------------

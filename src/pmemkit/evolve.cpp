@@ -158,7 +158,6 @@ void migrate_v1_pool(ObjectPool& pool, std::string_view layout) {
   // recovery, so this retires any transaction the v1 writer left mid-air;
   // afterwards no lane state needs translating.
   pool.heap_ = std::make_unique<Heap>(region, h.heap_off, h.heap_size);
-  pool.heap_->rebuild();
   recover_lanes(pool);
   crash_point("evolve:quiesced");
 
@@ -434,7 +433,12 @@ CompactReport compact_pool(ObjectPool& pool, std::span<ObjId* const> refs,
 
   // Emptied runs go back to the span map — this, not the moves themselves,
   // is what lowers reserved_bytes and with it the fragmentation ratio.
-  report.reclaimed_chunks = heap.reclaim_empty_runs();
+  // Under a lane like every other heap mutation, so a concurrent
+  // inspect() never walks the heap while descriptors flip.
+  {
+    const ObjectPool::OpLane lane(pool);
+    report.reclaimed_chunks = heap.reclaim_empty_runs();
+  }
 
   report.fragmentation_after = heap.stats().fragmentation;
   return report;

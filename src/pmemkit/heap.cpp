@@ -19,6 +19,13 @@ std::uint64_t desc_word(ChunkDesc d) noexcept {
   return w;
 }
 
+/// Adds `delta` (a wrapped negative for a decrement) to a counter that
+/// only the holder of its lane writes: a plain load+store, no locked RMW.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t delta) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
+}
+
 /// Second word of an AllocHeader (type_num | flags).
 std::uint64_t alloc_word(std::uint32_t type_num,
                          std::uint32_t flags) noexcept {
@@ -73,13 +80,19 @@ Heap::Heap(PersistentRegion& region, std::uint64_t heap_off,
            std::uint64_t heap_size)
     : region_(&region), heap_off_(heap_off), heap_size_(heap_size) {
   partial_runs_.assign(kSizeClasses.size(), {});
-  reset_homes();
+  reset_lanes();
   publish_span(solve_span(heap_off, heap_size), /*chunks_free=*/false);
 }
 
-void Heap::reset_homes() noexcept {
-  for (LaneShard& l : lanes_)
+void Heap::reset_lanes() noexcept {
+  for (LaneShard& l : lanes_) {
     for (auto& h : l.home) h.store(kNoChunk, std::memory_order_relaxed);
+    l.objects.store(0, std::memory_order_relaxed);
+    l.allocated_bytes.store(0, std::memory_order_relaxed);
+    l.live_bytes.store(0, std::memory_order_relaxed);
+    l.reserved_chunks.store(0, std::memory_order_relaxed);
+  }
+  reclaimed_chunks_.store(0, std::memory_order_relaxed);
   const std::uint32_t spans = span_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < spans; ++i)
     for (std::uint32_t c = 0; c < spans_[i].chunk_count; ++c)
@@ -221,6 +234,7 @@ std::uint32_t Heap::reclaim_empty_runs() {
       const std::lock_guard<std::mutex> sl(span_mu_);
       chunk_free_[c] = true;
     }
+    reclaimed_chunks_.fetch_add(1, std::memory_order_relaxed);
     ++reclaimed;
   }
   return reclaimed;
@@ -280,14 +294,16 @@ void Heap::format() {
   region_->note_store_infra(table, s.chunk_count * sizeof(ChunkDesc));
   region_->persist(table, s.chunk_count * sizeof(ChunkDesc));
   partial_runs_.assign(kSizeClasses.size(), {});
-  reset_homes();
+  reset_lanes();
+  baseline_ = Occupancy{};
   const std::lock_guard<std::mutex> lock(span_mu_);
   chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), true);
 }
 
 void Heap::rebuild() {
   partial_runs_.assign(kSizeClasses.size(), {});
-  reset_homes();
+  reset_lanes();
+  Occupancy base;
   {
     const std::lock_guard<std::mutex> lock(span_mu_);
     chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), false);
@@ -315,12 +331,29 @@ void Heap::rebuild() {
             used += static_cast<std::uint32_t>(std::popcount(w));
           if (used > rh->block_count) throw PoolError(ErrKind::CorruptImage, "corrupt run bitmap");
           if (used < rh->block_count) partial_runs_[d.class_idx].push_back(c);
+          // Occupancy counts the blocks below block_count, the ones
+          // allocation and free can reach.
+          const std::uint32_t block = kSizeClasses[d.class_idx];
+          for (std::uint32_t i = 0; i < rh->block_count; ++i) {
+            if ((rh->bitmap[i / 64] & (1ull << (i % 64))) == 0) continue;
+            const auto* hdr = reinterpret_cast<const AllocHeader*>(
+                chunk_data(c) + kRunHeaderSize + std::uint64_t{i} * block);
+            ++base.objects;
+            base.allocated_bytes += block;
+            base.live_bytes += hdr->size + sizeof(AllocHeader);
+          }
+          ++base.reserved_chunks;
           ++c;
           break;
         }
         case ChunkState::HugeHead: {
           if (d.span == 0 || c + d.span > end)
             throw PoolError(ErrKind::CorruptImage, "corrupt huge span");
+          const auto* hdr = reinterpret_cast<const AllocHeader*>(chunk_data(c));
+          ++base.objects;
+          base.allocated_bytes += std::uint64_t{d.span} * kChunkSize;
+          base.live_bytes += hdr->size + sizeof(AllocHeader);
+          base.reserved_chunks += d.span;
           c += d.span;  // covered chunks keep stale descriptors; skip them
           break;
         }
@@ -329,6 +362,7 @@ void Heap::rebuild() {
       }
     }
   }
+  baseline_ = base;
 }
 
 std::uint32_t Heap::find_free_span(std::uint32_t span) const {
@@ -492,9 +526,10 @@ PreparedAlloc Heap::stage_alloc(RedoSession& redo, std::uint64_t usable,
                                 std::uint32_t type_num, bool zero,
                                 std::uint32_t lane) {
   if (usable == 0) throw AllocError(ErrKind::BadAlloc, "zero-size allocation");
-  lanes_[lane].alloc_ops.fetch_add(1, std::memory_order_relaxed);
+  bump(lanes_[lane].alloc_ops, 1);
   const std::uint64_t total = usable + sizeof(AllocHeader);
   PreparedAlloc out;
+  out.usable = usable;
   out.lane = lane;
 
   const int cls = size_class_for(total);
@@ -582,7 +617,12 @@ void Heap::finish_alloc(PreparedAlloc& a) {
     lanes_[a.lane].home[d.class_idx].store(c, std::memory_order_relaxed);
   }
   // Huge spans (and fresh-run chunks) were claimed in chunk_free_ at stage
-  // time; nothing further to publish.
+  // time; now they count as reserved.
+  LaneShard& l = lanes_[a.lane];
+  bump(l.objects, 1);
+  bump(l.allocated_bytes, a.total_size);
+  bump(l.live_bytes, a.usable + sizeof(AllocHeader));
+  bump(l.reserved_chunks, a.claimed_span);
   if (a.owner.owns_lock()) a.owner.unlock();
 }
 
@@ -613,6 +653,7 @@ PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
   const ChunkDesc& d = *chunk_desc(c);
   const auto* hdr =
       reinterpret_cast<const AllocHeader*>(region_->base() + block_off);
+  out.usable = hdr->size;
 
   // Clear the live flag in the same atomic step.
   redo.stage(block_off + 8, alloc_word(hdr->type_num, 0));
@@ -628,9 +669,10 @@ PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
     ChunkDesc free_desc{static_cast<std::uint8_t>(ChunkState::Free), 0, 0, 0};
     redo.stage(desc_off(c), desc_word(free_desc));
   }
-  lanes_[lane].free_ops.fetch_add(1, std::memory_order_relaxed);
+  bump(lanes_[lane].free_ops, 1);
   out.data_off = data_off;
   out.chunk = c;
+  out.lane = lane;
   out.staged = true;
   out.owner = std::move(lk);
   return out;
@@ -639,19 +681,24 @@ PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
 void Heap::finish_free(PreparedFree& f) {
   const std::uint32_t c = f.chunk;
   const ChunkDesc& d = *chunk_desc(c);
+  const std::uint64_t total = f.usable + sizeof(AllocHeader);
+  std::uint64_t released = 0;  // block/span bytes
+  std::uint32_t span = 0;      // chunks back to Free
   if (static_cast<ChunkState>(d.state) == ChunkState::Run) {
+    released = kSizeClasses[d.class_idx];
     if (chunk_slot(c).home == 0) hint_partial(d.class_idx, c);
   } else {
     // The span's head descriptor became Free; covered chunks follow suit
-    // transiently.  Recompute the span from the allocation header.
-    const std::uint64_t block_off = f.data_off - sizeof(AllocHeader);
-    const auto* hdr =
-        reinterpret_cast<const AllocHeader*>(region_->base() + block_off);
-    const std::uint64_t total = hdr->size + sizeof(AllocHeader);
-    const auto span =
-        static_cast<std::uint32_t>((total + kChunkSize - 1) / kChunkSize);
+    // transiently.  The span follows from the allocation size.
+    span = static_cast<std::uint32_t>((total + kChunkSize - 1) / kChunkSize);
+    released = std::uint64_t{span} * kChunkSize;
     unclaim_span(c, span);
   }
+  LaneShard& l = lanes_[f.lane];
+  bump(l.objects, ~std::uint64_t{0});
+  bump(l.allocated_bytes, 0 - released);
+  bump(l.live_bytes, 0 - total);
+  bump(l.reserved_chunks, 0 - std::uint64_t{span});
   if (f.owner.owns_lock()) f.owner.unlock();
 }
 
@@ -767,57 +814,35 @@ HeapStats Heap::stats() const {
   s.chunk_count = total;
   s.span_count = span_count_.load(std::memory_order_acquire);
   s.total_bytes = std::uint64_t{total} * kChunkSize;
-  std::uint32_t c = 0;
-  // Per-chunk locking: chunk metadata (descriptor, run bitmap) is only
-  // mutated under that chunk's lock, so the walk reads each head chunk
-  // consistently — stats() is safe to call from a monitoring thread while
-  // lanes allocate.  The aggregate is still a moving snapshot, of course.
-  while (c < total) {
-    const std::lock_guard<std::mutex> lock(chunk_mutex(c));
-    const ChunkDesc& d = *chunk_desc(c);
-    switch (static_cast<ChunkState>(d.state)) {
-      case ChunkState::Free:
-        ++s.free_chunks;
-        ++c;
-        break;
-      case ChunkState::Run: {
-        const RunHeader* rh = run_header(c);
-        const std::uint32_t block = kSizeClasses[d.class_idx];
-        for (std::uint32_t i = 0; i < rh->block_count; ++i) {
-          if ((rh->bitmap[i / 64] & (1ull << (i % 64))) == 0) continue;
-          ++s.object_count;
-          s.allocated_bytes += block;
-          const auto* hdr = reinterpret_cast<const AllocHeader*>(
-              chunk_data(c) + kRunHeaderSize + std::uint64_t{i} * block);
-          s.live_bytes += hdr->size + sizeof(AllocHeader);
-        }
-        ++c;
-        break;
-      }
-      case ChunkState::HugeHead: {
-        ++s.object_count;
-        s.allocated_bytes += std::uint64_t{d.span} * kChunkSize;
-        const auto* hdr =
-            reinterpret_cast<const AllocHeader*>(chunk_data(c));
-        s.live_bytes += hdr->size + sizeof(AllocHeader);
-        c += std::max<std::uint32_t>(d.span, 1);
-        break;
-      }
-      default:
-        ++c;
-        break;
-    }
-  }
-  s.reserved_bytes = (s.chunk_count - s.free_chunks) * kChunkSize;
-  s.fragmentation =
-      s.reserved_bytes == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(s.live_bytes) /
-                      static_cast<double>(s.reserved_bytes);
+  Occupancy o = baseline_;
   for (const LaneShard& l : lanes_) {
+    o.objects += l.objects.load(std::memory_order_relaxed);
+    o.allocated_bytes += l.allocated_bytes.load(std::memory_order_relaxed);
+    o.live_bytes += l.live_bytes.load(std::memory_order_relaxed);
+    o.reserved_chunks += l.reserved_chunks.load(std::memory_order_relaxed);
     s.alloc_ops += l.alloc_ops.load(std::memory_order_relaxed);
     s.free_ops += l.free_ops.load(std::memory_order_relaxed);
   }
+  o.reserved_chunks -= reclaimed_chunks_.load(std::memory_order_relaxed);
+  // Exact when no operation is in flight.  A sum read while lanes move can
+  // see one lane's free without the other lane's allocation it undoes (a
+  // wrapped "negative"), or a chunk's reuse before its reclaim: clamp so
+  // every field stays in range.
+  const auto settled = [](std::uint64_t v) noexcept {
+    return static_cast<std::int64_t>(v) < 0 ? 0 : v;
+  };
+  s.object_count = settled(o.objects);
+  s.allocated_bytes = settled(o.allocated_bytes);
+  s.live_bytes = settled(o.live_bytes);
+  const std::uint64_t reserved =
+      std::min<std::uint64_t>(settled(o.reserved_chunks), total);
+  s.free_chunks = total - reserved;
+  s.reserved_bytes = reserved * kChunkSize;
+  s.fragmentation =
+      s.reserved_bytes == 0
+          ? 0.0
+          : std::max(0.0, 1.0 - static_cast<double>(s.live_bytes) /
+                                    static_cast<double>(s.reserved_bytes));
   s.run_lock_skips = run_lock_skips_.load(std::memory_order_relaxed);
   s.run_lock_waits = run_lock_waits_.load(std::memory_order_relaxed);
   return s;

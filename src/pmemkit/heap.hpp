@@ -39,9 +39,14 @@
 //     overlap, and cancel_* returns the claim;
 //   * lock order is chunk -> (class | span); class- and span-holders only
 //     ever try-lock chunks, so the order cannot cycle;
-//   * nothing shared is written per operation: the op counters live per
-//     lane, and each chunk's mutex sits on its own cache line (home runs
-//     are often adjacent chunks).
+//   * nothing shared is written per operation: the op and occupancy
+//     counters live per lane (single writer: the lane's holder, plain
+//     relaxed load+store), and each chunk's mutex sits on its own cache
+//     line (home runs are often adjacent chunks);
+//   * stats() is O(lanes), cheap enough to call after every batch: it sums
+//     the per-lane occupancy deltas onto the baseline rebuild() counted at
+//     open (the one heap walk), minus the chunks reclaim_empty_runs()
+//     returned.
 // Recovery and rebuild still run single-threaded on the open path.
 // Span-table mutation (extend/retract) happens only on the open path or
 // under a fully quiesced pool (every lane held), published through an
@@ -68,6 +73,7 @@ namespace cxlpmem::pmemkit {
 /// cancel_alloc() before the owning session's lane does anything else.
 struct PreparedAlloc {
   std::uint64_t data_off = 0;
+  std::uint64_t usable = 0;      ///< requested bytes (the header's size)
   std::uint64_t total_size = 0;  ///< block/span bytes incl. header
   std::uint32_t chunk = 0;       ///< head chunk of the block/span
   std::uint32_t claimed_span = 0;  ///< fresh chunks claimed transiently
@@ -82,7 +88,9 @@ struct PreparedAlloc {
 /// dead and nothing was staged.
 struct PreparedFree {
   std::uint64_t data_off = 0;
+  std::uint64_t usable = 0;  ///< the dying object's header size
   std::uint32_t chunk = 0;
+  std::uint32_t lane = 0;    ///< the staging lane (its counters record it)
   bool staged = false;
   std::unique_lock<std::mutex> owner;
 };
@@ -116,8 +124,9 @@ class Heap {
   void format();
 
   /// Rebuilds transient state from persistent chunk metadata (open path),
-  /// across every registered span.  Validates invariants; throws PoolError
-  /// on corruption.
+  /// across every registered span, and counts the occupancy baseline
+  /// stats() builds on.  Validates invariants; throws PoolError on
+  /// corruption.  Call after every published redo log has been replayed.
   void rebuild();
 
   /// Registers an already-formatted span (open path, from the pool's span
@@ -157,6 +166,8 @@ class Heap {
   /// compaction actually lower reserved_bytes, and lets a shrink retract a
   /// span whose runs have been drained.  Safe against concurrent
   /// allocations (each chunk is judged and flipped under its own lock).
+  /// Callers hold a pool lane (or all of them), as every heap mutation
+  /// does, so inspect() can freeze the heap by holding the lanes.
   /// Returns the number of chunks reclaimed.
   std::uint32_t reclaim_empty_runs();
 
@@ -184,7 +195,7 @@ class Heap {
   /// invalid/double frees.  Safe to call for an object that a recovery
   /// already released when `tolerate_dead` is set (idempotent replay).
   /// Result has staged == false when the object was already dead.
-  /// `lane` (the caller's) only selects the op counter.
+  /// `lane` is the lane the caller holds; its counters record the free.
   PreparedFree stage_free(RedoSession& redo, std::uint64_t data_off,
                           bool tolerate_dead, std::uint32_t lane);
 
@@ -221,6 +232,9 @@ class Heap {
   [[nodiscard]] std::uint64_t next_object(std::uint64_t data_off,
                                           std::uint32_t type_num) const;
 
+  /// Occupancy and op counters, O(lanes): no chunk lock, no object walk.
+  /// Exact whenever no operation is in flight; while lanes allocate it is
+  /// a moving sum, clamped into range.
   [[nodiscard]] HeapStats stats() const;
 
   /// Largest single allocation this heap can ever satisfy.
@@ -275,14 +289,29 @@ class Heap {
     std::mutex mu;
     std::uint32_t home = 0;  ///< 1 + lane whose home run this is; guarded by mu
   };
+  /// Heap occupancy: the rebuild() baseline, and the per-lane deltas on
+  /// top of it (unsigned, so a lane that frees more than it allocated
+  /// wraps; the sum over all lanes is exact).
+  struct Occupancy {
+    std::uint64_t objects = 0;
+    std::uint64_t allocated_bytes = 0;  ///< block/span bytes
+    std::uint64_t live_bytes = 0;       ///< usable + header
+    std::uint64_t reserved_chunks = 0;  ///< Run chunks + huge-span chunks
+  };
   /// Per-lane state, one cache line apart per lane.
   struct alignas(64) LaneShard {
     /// Home run per size class (kNoChunk sentinel ~0u when none).  Written
     /// by the lane's holder, and cleared by reclaim_empty_runs, each time
     /// under the named chunk's lock.
     std::array<std::atomic<std::uint32_t>, kSizeClasses.size()> home;
+    // Written only by the lane's holder (relaxed load+store), read by
+    // stats() from any thread.
     std::atomic<std::uint64_t> alloc_ops{0};
     std::atomic<std::uint64_t> free_ops{0};
+    std::atomic<std::uint64_t> objects{0};
+    std::atomic<std::uint64_t> allocated_bytes{0};
+    std::atomic<std::uint64_t> live_bytes{0};
+    std::atomic<std::uint64_t> reserved_chunks{0};
   };
 
   [[nodiscard]] ChunkSlot& chunk_slot(std::uint32_t chunk) const noexcept;
@@ -301,8 +330,9 @@ class Heap {
   [[nodiscard]] bool run_fits(std::uint32_t chunk, int class_idx) const
       noexcept;
 
-  /// Forgets every home run (create/rebuild path).
-  void reset_homes() noexcept;
+  /// Forgets every home run and zeroes the per-lane occupancy deltas
+  /// (create/rebuild path).
+  void reset_lanes() noexcept;
 
   /// Records `chunk` in class `class_idx`'s partial-run hint list (no-op if
   /// already hinted).
@@ -343,6 +373,10 @@ class Heap {
   mutable std::mutex span_mu_;    ///< guards chunk_free_
 
   std::array<LaneShard, kLaneCount> lanes_{};
+  Occupancy baseline_;  ///< counted by rebuild(), zero after format()
+  /// Chunks reclaim_empty_runs() returned to Free; heap-wide, since the
+  /// heap is not told which lane its caller holds.
+  std::atomic<std::uint64_t> reclaimed_chunks_{0};
   std::atomic<std::uint64_t> run_lock_skips_{0};
   std::atomic<std::uint64_t> run_lock_waits_{0};
 };

@@ -19,27 +19,31 @@ PoolReport inspect(const ObjectPool& pool) {
   // the published bytes are recomputed the way recovery would see them:
   // the checksum-valid current-generation entry prefix.  Both that scan
   // and the header reads are only performed where they cannot race with a
-  // concurrent transaction: lanes this call checks out itself for the read
-  // (a past owner's writes happened-before its release of the lane's busy
-  // flag) and the calling thread's own transaction lane.  A lane another
-  // thread holds is in motion end to end — it is counted, never read.
+  // concurrent operation: lanes this call checks out itself (a past
+  // owner's writes happened-before its release of the lane's busy flag)
+  // and the lane the calling thread holds.  A lane another thread holds is
+  // in motion end to end — it is counted, never read.  The lanes checked
+  // out here stay out until the census below is done: every heap mutation
+  // needs a lane, so holding all of them freezes the heap for the walk.
   auto& mutable_pool = const_cast<ObjectPool&>(pool);
-  const std::uint32_t own_lane = mutable_pool.current_tx_lane();
+  const std::uint32_t own_lane = mutable_pool.own_lane();
+  struct Checkout {
+    ObjectPool& pool;
+    std::vector<std::uint32_t> lanes;
+    ~Checkout() {
+      for (const std::uint32_t l : lanes) pool.release_lane_raw(l);
+    }
+  } checkout{mutable_pool, {}};
   const auto lanes = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(h.lane_count, kLaneCount));
   for (std::uint32_t l = 0; l < lanes; ++l) {
-    const bool held = l != own_lane && mutable_pool.try_claim_lane(l);
-    if (!held && l != own_lane) {
-      ++r.lanes_in_flight;
-      continue;
-    }
-    struct Checkout {
-      ObjectPool* pool;  // null: the calling thread's own lane
-      std::uint32_t lane;
-      ~Checkout() {
-        if (pool != nullptr) pool->release_lane_raw(lane);
+    if (l != own_lane) {
+      if (!mutable_pool.try_claim_lane(l)) {
+        ++r.lanes_in_flight;
+        continue;
       }
-    } checkout{held ? &mutable_pool : nullptr, l};
+      checkout.lanes.push_back(l);
+    }
     const LaneHeader& lane = mutable_pool.lane_header(l);
     const auto state = static_cast<LaneState>(lane.state);
     if (state != LaneState::Idle || lane.redo.valid != 0) {
@@ -54,10 +58,23 @@ PoolReport inspect(const ObjectPool& pool) {
   }
 
   r.heap = pool.stats().heap;
+  if (r.has_root && !pool.heap_->is_live_synced(h.root_off))
+    r.problems.push_back("root oid does not point at a live object");
+  if (r.heap.allocated_bytes > r.heap.total_bytes)
+    r.problems.push_back("heap accounting exceeds capacity");
 
-  // Census + structural checks through the public iteration API.
+  // Census + structural checks through the public iteration API.  The
+  // walk reads run bitmaps and headers without chunk locks, so it only
+  // runs on a frozen heap; with another thread mid-operation it is
+  // skipped, not reported as a mismatch.
+  r.census_skipped = r.lanes_in_flight > 0;
+  if (r.census_skipped) {
+    r.consistent = r.problems.empty();
+    return r;
+  }
   std::map<std::uint32_t, TypeCensusRow> census;
   std::uint64_t iterated = 0;
+  std::uint64_t live_bytes = 0;
   try {
     for (ObjId o = pool.first(); !o.is_null(); o = pool.next(o)) {
       ++iterated;
@@ -70,21 +87,22 @@ PoolReport inspect(const ObjectPool& pool) {
       row.type_num = type;
       row.objects += 1;
       row.usable_bytes += usable;
+      live_bytes += usable + sizeof(AllocHeader);
     }
   } catch (const std::exception& e) {
     r.problems.push_back(std::string("object walk failed: ") + e.what());
   }
   for (auto& [type, row] : census) r.census.push_back(row);
 
+  // The heap's counters and the walk are independent sources.
   if (iterated != r.heap.object_count)
     r.problems.push_back(
         "census/bitmap mismatch: walked " + std::to_string(iterated) +
         " objects, heap accounts " + std::to_string(r.heap.object_count));
-  if (r.has_root && !pool.heap_->is_live(pool.header().root_off))
-    r.problems.push_back("root oid does not point at a live object");
-  if (r.heap.allocated_bytes >
-      r.heap.total_bytes)
-    r.problems.push_back("heap accounting exceeds capacity");
+  if (live_bytes != r.heap.live_bytes)
+    r.problems.push_back(
+        "census/live-bytes mismatch: walked " + std::to_string(live_bytes) +
+        " bytes, heap accounts " + std::to_string(r.heap.live_bytes));
 
   r.consistent = r.problems.empty();
   return r;
@@ -119,7 +137,12 @@ std::string to_text(const PoolReport& r) {
          << static_cast<int>(l.state) << ", undo " << l.undo_bytes
          << " B" << (l.redo_published ? ", redo published" : "") << "\n";
   }
-  os << "object census :\n";
+  if (r.census_skipped) {
+    os << "object census : census skipped: " << r.lanes_in_flight
+       << " lanes in flight\n";
+  } else {
+    os << "object census :\n";
+  }
   for (const TypeCensusRow& row : r.census)
     os << "  type " << row.type_num << ": " << row.objects << " objects, "
        << row.usable_bytes << " usable bytes\n";

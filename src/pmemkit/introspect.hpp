@@ -5,7 +5,8 @@
 // lane states (was a transaction in flight?), heap occupancy and per-type
 // object census — plus a structural consistency check that walks the heap
 // with the same invariants rebuild() enforces and cross-checks the object
-// census against the allocation bitmaps.
+// census against the heap's occupancy counters.  On a live pool the census
+// runs only while no other thread holds a lane (see census_skipped).
 #pragma once
 
 #include <cstdint>
@@ -56,6 +57,10 @@ struct PoolReport {
   std::uint64_t lanes_in_flight = 0;
   HeapStats heap;
   std::vector<TypeCensusRow> census;    ///< by ascending type_num
+  /// True when lanes_in_flight > 0: the census walk (and its cross-check
+  /// against `heap`) would race those lanes' operations, so it did not
+  /// run and `census` is empty.
+  bool census_skipped = false;
 
   // Consistency.
   bool consistent = false;

@@ -369,7 +369,6 @@ std::unique_ptr<ObjectPool> ObjectPool::open(PmemResource& resource,
     for (std::uint64_t i = 1; i < table.count; ++i)
       pool->heap_->adopt_span(table.spans[i].off, table.spans[i].size);
   }
-  pool->heap_->rebuild();
   pool->run_recovery();
   pool->recovered_ = pool->recovered_ || evolved;
   register_pool(pool.get());
@@ -580,9 +579,10 @@ Transaction* ObjectPool::current_tx() const {
   return nullptr;
 }
 
-std::uint32_t ObjectPool::current_tx_lane() const {
-  const Transaction* tx = current_tx();
-  return tx == nullptr ? static_cast<std::uint32_t>(kLaneCount) : tx->lane_;
+std::uint32_t ObjectPool::own_lane() const {
+  if (const Transaction* tx = current_tx()) return tx->lane_;
+  const std::uint32_t* pinned = session_lane_of(this);
+  return pinned == nullptr ? kNoLane : *pinned;
 }
 
 void ObjectPool::set_current_tx(Transaction* tx) {

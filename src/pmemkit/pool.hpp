@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,8 @@ struct PoolStats {
 };
 
 struct PoolReport;  // introspect.hpp
+struct CompactOptions;  // evolve.hpp
+struct CompactReport;   // evolve.hpp
 
 struct PoolOptions {
   /// Undo-entry publish protocol.  TwoPersistReference is the version-1
@@ -281,6 +284,9 @@ class ObjectPool {
   friend struct PoolReport;
   friend PoolReport inspect(const ObjectPool& pool);
   friend void migrate_v1_pool(ObjectPool& pool, std::string_view layout);
+  friend CompactReport compact_pool(ObjectPool& pool,
+                                    std::span<ObjId* const> refs,
+                                    CompactOptions options);
 
   ObjectPool(MappedFile file, Options options);
 
@@ -311,10 +317,11 @@ class ObjectPool {
   template <typename Claim>
   std::uint32_t wait_for_lane(Claim claim);
   void set_current_tx(Transaction* tx);
-  /// Lane index of the calling thread's open transaction on this pool, or
-  /// kLaneCount when there is none.  Lets introspection recognize the one
-  /// in-flight lane it may scan race-free (its own).
-  [[nodiscard]] std::uint32_t current_tx_lane() const;
+  /// The lane the calling thread holds on this pool: its open
+  /// transaction's, else its LaneSession's; kLaneCount when none.  Lets
+  /// introspection recognize the one checked-out lane it may scan
+  /// race-free (its own).
+  [[nodiscard]] std::uint32_t own_lane() const;
 
   /// RAII lane for a non-transactional (atomic) operation's redo log: the
   /// calling thread's open transaction lane when there is one (safe — redo

@@ -480,6 +480,12 @@ bool recover_lanes(ObjectPool& pool) {
   bool changed = false;
   for (std::uint32_t lane = 0; lane < kLaneCount; ++lane)
     changed = redo_recover(region, pool.lane_header(lane).redo) || changed;
+  // The heap's transient state (free-chunk map, partial runs, occupancy
+  // baseline) is built from the image the replay produced: built before
+  // it, a chunk a replayed allocation turned into a run would still read
+  // Free and be handed out again.  The undo work below goes through the
+  // heap, so it comes after.
+  pool.heap_->rebuild();
 
   for (std::uint32_t lane = 0; lane < kLaneCount; ++lane) {
     LaneHeader& lh = pool.lane_header(lane);

@@ -144,8 +144,9 @@ class Transaction {
 };
 
 /// Lane log recovery at pool open (and before a migration): replays every
-/// lane's published redo log, then rolls back or finishes each lane's
-/// transaction.  Returns true when any persistent state was changed.
+/// lane's published redo log, rebuilds the heap's transient state from the
+/// replayed image, then rolls back or finishes each lane's transaction.
+/// Returns true when any persistent state was changed.
 bool recover_lanes(ObjectPool& pool);
 
 /// Bytes of the checksum-valid, generation-`gen` entry prefix at the head

@@ -665,7 +665,9 @@ struct Server::Impl {
   /// pass over the map.  Entirely on the worker thread (the shard's pool is
   /// single-writer), between batches (no request waits on it), and each
   /// relocation is its own crash-atomic transaction — kill -9 mid-pass
-  /// loses only not-yet-moved garbage, never data.
+  /// loses only not-yet-moved garbage, never data.  The check itself runs
+  /// after every batch: stats() sums per-lane heap counters, it does not
+  /// walk the shard's objects.
   void maybe_compact(Shard& s) {
     if (opts.compact_above <= 0) return;
     const pmemkit::PoolStats st = s.pool->stats();

@@ -133,6 +133,42 @@ TEST_P(CrashPolicyTest, AtomicAllocPublishesAllOrNothing) {
   pk::CrashSimulator(cfg).run(setup, scenario, verify);
 }
 
+// An atomic allocation that takes a fresh chunk, cut at every point.  Once
+// its redo log is published, recovery replays it and the chunk becomes a
+// run; the heap's transient free-chunk map must be built from that
+// replayed image, or the next allocation of another class claims the chunk
+// again and re-formats its run header under the recovered object.  The
+// verify step also holds the recovered pool's counter-based stats to the
+// census the object walk produces.
+TEST_P(CrashPolicyTest, RecoveredFreshRunIsNotClaimedAgain) {
+  auto cfg = config_for("fresh-run", GetParam(), 29);
+  const auto setup = [](pk::ObjectPool& p) { (void)p.root<Root>(); };
+  const auto scenario = [](pk::ObjectPool& p) {
+    auto* r = p.direct(p.root<Root>());
+    (void)p.alloc_atomic(512, 7, &r->obj);
+  };
+  const auto verify = [](pk::ObjectPool& p) {
+    auto* r = p.direct(p.root<Root>());
+    for (int i = 0; i < 4; ++i) (void)p.alloc_atomic(4000, 8);
+    if (!r->obj.is_null()) {
+      ASSERT_EQ(p.type_of(r->obj), 7u) << "recovered object was lost";
+      ASSERT_GE(p.usable_size(r->obj), 512u);
+    }
+    const pk::PoolReport report = pk::inspect(p);
+    ASSERT_TRUE(report.consistent) << pk::to_text(report);
+    std::uint64_t objects = 0, live = 0;
+    for (const pk::TypeCensusRow& row : report.census) {
+      objects += row.objects;
+      live += row.usable_bytes + row.objects * sizeof(pk::AllocHeader);
+    }
+    ASSERT_EQ(report.heap.object_count, objects);
+    ASSERT_EQ(report.heap.live_bytes, live);
+  };
+  const std::size_t points =
+      pk::CrashSimulator(cfg).run(setup, scenario, verify);
+  EXPECT_GT(points, 3u);
+}
+
 // POBJ_FREE semantics: free + null-the-oid happen together.
 TEST_P(CrashPolicyTest, AtomicFreeUnpublishesAllOrNothing) {
   auto cfg = config_for("free-unpublish", GetParam(), 37);

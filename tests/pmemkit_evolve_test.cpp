@@ -19,12 +19,26 @@ namespace fs = std::filesystem;
 
 namespace {
 
-fs::path scratch(const std::string& name) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("evolve-" + std::to_string(::getpid()) + "-" + name);
-  fs::remove(p);
-  return p;
-}
+/// A scratch image path under the temp directory, removed again when the
+/// test case ends, however it ends.
+class Scratch {
+ public:
+  explicit Scratch(const std::string& name)
+      : path_(fs::temp_directory_path() /
+              ("evolve-" + std::to_string(::getpid()) + "-" + name)) {
+    fs::remove(path_);
+  }
+  ~Scratch() {
+    std::error_code ignored;
+    fs::remove(path_, ignored);
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  operator const fs::path&() const noexcept { return path_; }
+
+ private:
+  fs::path path_;
+};
 
 fs::path golden_fixture() {
   return fs::path(CXLPMEM_FIXTURES_DIR) / "golden_v1.img";
@@ -68,7 +82,7 @@ struct HookGuard {
 // The checked-in golden artifact: decode, migrate, verify every record,
 // then prove the migrated image opens as a plain v2 pool.
 TEST(EvolveTest, GoldenFixtureMigratesWithAllObjectsIntact) {
-  const fs::path pool_path = scratch("golden.pool");
+  const Scratch pool_path("golden.pool");
   ASSERT_TRUE(fs::exists(golden_fixture()))
       << "missing checked-in fixture; regenerate with: pool_fixture gen "
          "tests/fixtures/golden_v1.img";
@@ -95,7 +109,7 @@ TEST(EvolveTest, GoldenFixtureMigratesWithAllObjectsIntact) {
 }
 
 TEST(EvolveTest, V1ImageRefusedWithoutOptIn) {
-  const fs::path pool_path = scratch("refuse.pool");
+  const Scratch pool_path("refuse.pool");
   fx::load_sparse(golden_fixture(), pool_path);
   try {
     open_pool(pool_path, /*migrate=*/false);
@@ -109,7 +123,7 @@ TEST(EvolveTest, V1ImageRefusedWithoutOptIn) {
 }
 
 TEST(EvolveTest, MigrateFlagIsIdempotentOnV2Pools) {
-  const fs::path pool_path = scratch("idempotent.pool");
+  const Scratch pool_path("idempotent.pool");
   fx::load_sparse(golden_fixture(), pool_path);
   { auto pool = open_pool(pool_path, /*migrate=*/true); }
   auto pool = open_pool(pool_path, /*migrate=*/true);
@@ -124,8 +138,8 @@ TEST(EvolveTest, MigrateFlagIsIdempotentOnV2Pools) {
 // rather than model-based: every byte the migrator writes is explicitly
 // persisted before the next crash point, so the file IS the crash image.
 TEST(EvolveTest, MigrationCrashSweep) {
-  const fs::path pristine = scratch("sweep-pristine.pool");
-  const fs::path pool_path = scratch("sweep.pool");
+  const Scratch pristine("sweep-pristine.pool");
+  const Scratch pool_path("sweep.pool");
   fx::make_v1_image(pristine);
 
   // Counting pass.
@@ -175,7 +189,7 @@ TEST(EvolveTest, MigrationCrashSweep) {
 // --- pool-open failure paths ------------------------------------------------
 
 TEST(EvolveTest, TruncatedHeaderIsTypedError) {
-  const fs::path pool_path = scratch("truncated.pool");
+  const Scratch pool_path("truncated.pool");
   fx::make_v1_image(pool_path);
   fs::resize_file(pool_path, 512);  // shorter than PoolHeader
   try {
@@ -189,7 +203,7 @@ TEST(EvolveTest, TruncatedHeaderIsTypedError) {
 }
 
 TEST(EvolveTest, TruncatedLaneRegionIsTypedError) {
-  const fs::path pool_path = scratch("trunc-lanes.pool");
+  const Scratch pool_path("trunc-lanes.pool");
   fx::make_v1_image(pool_path);
   // Header intact, body gone: the size checks must fire before any lane or
   // heap structure is dereferenced.
@@ -205,7 +219,7 @@ TEST(EvolveTest, TruncatedLaneRegionIsTypedError) {
 }
 
 TEST(EvolveTest, WrongMagicIsTypedError) {
-  const fs::path pool_path = scratch("magic.pool");
+  const Scratch pool_path("magic.pool");
   fx::make_v1_image(pool_path);
   const std::uint64_t bogus = 0x4445414442454546ull;
   patch_file(pool_path, 0, &bogus, sizeof(bogus));
@@ -218,7 +232,7 @@ TEST(EvolveTest, WrongMagicIsTypedError) {
 }
 
 TEST(EvolveTest, FutureVersionIsTypedError) {
-  const fs::path pool_path = scratch("future.pool");
+  const Scratch pool_path("future.pool");
   fx::make_v1_image(pool_path);
   pk::PoolHeader h = read_header(pool_path);
   h.version = 99;  // from a build that does not exist yet
@@ -235,7 +249,7 @@ TEST(EvolveTest, FutureVersionIsTypedError) {
 }
 
 TEST(EvolveTest, MigrationMarkerWithoutOptInIsTypedError) {
-  const fs::path pool_path = scratch("marker.pool");
+  const Scratch pool_path("marker.pool");
   fx::make_v1_image(pool_path);
   pk::EvolutionMarker m{};
   m.magic = pk::kEvolveMagic;
@@ -257,7 +271,7 @@ TEST(EvolveTest, MigrationMarkerWithoutOptInIsTypedError) {
 }
 
 TEST(EvolveTest, TornMarkerIsDiscardedOnOpen) {
-  const fs::path pool_path = scratch("torn-marker.pool");
+  const Scratch pool_path("torn-marker.pool");
   // A v2 pool this time: the torn marker is debris, not an obligation.
   {
     pk::FileResource resource(pool_path);
@@ -274,7 +288,7 @@ TEST(EvolveTest, TornMarkerIsDiscardedOnOpen) {
   EXPECT_NO_THROW(fx::verify(*pool));
   pool.reset();
   pk::EvolutionMarker after{};
-  std::ifstream f(pool_path, std::ios::binary);
+  std::ifstream f(static_cast<const fs::path&>(pool_path), std::ios::binary);
   f.seekg(static_cast<std::streamoff>(pk::kEvolveMarkerOff));
   f.read(reinterpret_cast<char*>(&after), sizeof(after));
   EXPECT_EQ(after.magic, 0u) << "torn marker not cleared";

@@ -84,9 +84,8 @@ TEST_F(IntrospectTest, InFlightTransactionShowsBusyLane) {
 // Inspecting a pool while other threads run transactions on it must be
 // data-race-free (this suite runs under the TSan CI job): a lane another
 // thread is actively transacting on is counted in lanes_in_flight, never
-// read — its header and log are in motion.  The workers only snapshot
-// (no alloc/free): the census walk's unsynchronized heap reads are a
-// separate, pre-existing limitation of live inspection.
+// read — its header and log are in motion.  The workers only snapshot;
+// LiveInspectionSkipsOrCompletesTheCensus below adds alloc/free.
 TEST_F(IntrospectTest, ConcurrentInspectionRacesNoTransaction) {
   struct R {
     std::uint64_t slots[4];
@@ -117,6 +116,69 @@ TEST_F(IntrospectTest, ConcurrentInspectionRacesNoTransaction) {
   const auto after = pk::inspect(*pool_);
   EXPECT_TRUE(after.busy_lanes.empty());
   EXPECT_EQ(after.lanes_in_flight, 0u);
+}
+
+// The census walk reads run bitmaps and headers without chunk locks.  On a
+// live pool it runs only while inspect() holds every lane but the caller's
+// own, which freezes the heap (every mutation needs a lane); with a lane in
+// another thread's hands it is skipped and the report says so, instead of
+// a census/bitmap mismatch under PROBLEMS.  These workers allocate and
+// free, so a walk that raced them would show under TSan, and a walked
+// census must match the heap's occupancy counters exactly.
+TEST_F(IntrospectTest, LiveInspectionSkipsOrCompletesTheCensus) {
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<pk::ObjId> mine;
+      for (std::uint64_t i = 0; !stop.load(); ++i) {
+        mine.push_back(pool_->alloc_atomic(64 + (i * 131) % 3000, 10 + t));
+        pool_->run_tx([&] {
+          const pk::ObjId fresh = pool_->tx_alloc(200, 20 + t);
+          pool_->tx_free(fresh);
+        });
+        if (mine.size() > 8) {
+          pool_->free_atomic(mine.front());
+          mine.erase(mine.begin());
+        }
+      }
+      for (const pk::ObjId o : mine) pool_->free_atomic(o);
+    });
+  }
+  for (int i = 0; i < 100; ++i) {
+    const auto r = pk::inspect(*pool_);
+    EXPECT_TRUE(r.consistent) << pk::to_text(r);
+    if (r.census_skipped) {
+      EXPECT_GT(r.lanes_in_flight, 0u);
+      EXPECT_TRUE(r.census.empty());
+      EXPECT_NE(pk::to_text(r).find("census skipped: " +
+                                    std::to_string(r.lanes_in_flight) +
+                                    " lanes in flight"),
+                std::string::npos);
+    } else {
+      EXPECT_EQ(r.lanes_in_flight, 0u);
+    }
+  }
+  stop.store(true);
+  for (auto& w : workers) w.join();
+  const auto after = pk::inspect(*pool_);
+  EXPECT_FALSE(after.census_skipped);
+  EXPECT_TRUE(after.consistent) << pk::to_text(after);
+  EXPECT_EQ(after.heap.object_count, 0u);
+  EXPECT_EQ(after.heap.live_bytes, 0u);
+}
+
+// The caller's own LaneSession lane is not "another thread's": the census
+// still runs.
+TEST_F(IntrospectTest, OwnLaneSessionKeepsTheCensus) {
+  (void)pool_->alloc_atomic(64, 3);
+  const pk::ObjectPool::LaneSession lane(*pool_);
+  const auto r = pk::inspect(*pool_);
+  EXPECT_FALSE(r.census_skipped);
+  EXPECT_EQ(r.lanes_in_flight, 0u);
+  ASSERT_EQ(r.census.size(), 1u);
+  EXPECT_EQ(r.census[0].objects, 1u);
+  EXPECT_EQ(r.heap.live_bytes, 64u + sizeof(pk::AllocHeader));
 }
 
 TEST_F(IntrospectTest, TextRenderingContainsTheEssentials) {

@@ -6,10 +6,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "pmemkit/evolve.hpp"
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
 
@@ -332,6 +334,134 @@ TEST_F(PoolTest, ReclaimedHomeRunIsNotReusedForAnotherClass) {
   const pk::PoolReport report = pk::inspect(*p);
   EXPECT_TRUE(report.consistent);
   EXPECT_EQ(report.heap.object_count, 2u);
+}
+
+// Holds stats()' running occupancy counters to the object walk's census:
+// same object count, and live_bytes == sum(usable + header).
+void expect_counters_match_census(const pk::ObjectPool& p) {
+  const pk::PoolReport r = pk::inspect(p);
+  ASSERT_TRUE(r.consistent) << pk::to_text(r);
+  ASSERT_FALSE(r.census_skipped);
+  std::uint64_t objects = 0, live = 0;
+  for (const pk::TypeCensusRow& row : r.census) {
+    objects += row.objects;
+    live += row.usable_bytes + row.objects * sizeof(pk::AllocHeader);
+  }
+  EXPECT_EQ(r.heap.object_count, objects);
+  EXPECT_EQ(r.heap.live_bytes, live);
+}
+
+void expect_same_occupancy(const pk::HeapStats& a, const pk::HeapStats& b) {
+  EXPECT_EQ(a.object_count, b.object_count);
+  EXPECT_EQ(a.allocated_bytes, b.allocated_bytes);
+  EXPECT_EQ(a.live_bytes, b.live_bytes);
+  EXPECT_EQ(a.reserved_bytes, b.reserved_bytes);
+  EXPECT_EQ(a.free_chunks, b.free_chunks);
+  EXPECT_EQ(a.chunk_count, b.chunk_count);
+  EXPECT_EQ(a.span_count, b.span_count);
+  EXPECT_EQ(a.fragmentation, b.fragmentation);
+}
+
+// stats() keeps heap occupancy in running counters; only rebuild() walks
+// the heap, once at open.  After churn through every path that changes
+// occupancy, the counters must equal both the baseline a reopen counts
+// from the image and the census the object walk produces.
+TEST_F(PoolTest, StatsCountersMatchReopenAndCensus) {
+  constexpr int kThreads = 4;
+  constexpr int kSlots = 16;
+  constexpr std::uint64_t kBase = 64ull << 20;
+  struct R {
+    pk::ObjId slot[kThreads][kSlots];
+  };
+  auto p = pk::ObjectPool::create(pool_path(), "exact", kBase);
+  auto* r = p->direct(p->root<R>());
+  const auto check = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    expect_counters_match_census(*p);
+    const pk::HeapStats running = p->stats().heap;
+    p.reset();
+    p = pk::ObjectPool::open(pool_path(), "exact");
+    r = p->direct(p->root<R>());
+    expect_same_occupancy(running, p->stats().heap);
+  };
+
+  // Four threads on one pool: atomic and transactional alloc/free across
+  // size classes and huge (> 128 KiB, one- and three-chunk) spans, and
+  // transactions that abort after allocating and freeing.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 120; ++i) {
+        pk::ObjId& slot = r->slot[t][i % kSlots];
+        const std::uint64_t size = i % 25 == 7    ? (600u << 10)
+                                   : i % 10 == 3  ? (150u << 10) + i
+                                                  : 40 + (i * 97) % 5000;
+        switch (i % 4) {
+          case 0:
+            p->free_atomic(&slot);
+            (void)p->alloc_atomic(size, 10 + t, &slot);
+            break;
+          case 1:
+            p->run_tx([&] {
+              p->tx_add_range(&slot, sizeof(slot));
+              if (!slot.is_null()) p->tx_free(slot);
+              slot = p->tx_alloc(size, 20 + t);
+            });
+            break;
+          case 2:
+            try {
+              p->run_tx([&] {
+                (void)p->tx_alloc(size, 30 + t);
+                if (!slot.is_null()) p->tx_free(slot);
+                throw std::runtime_error("abort");
+              });
+            } catch (const std::runtime_error&) {
+            }
+            break;
+          default: {
+            const pk::ObjId tmp = p->alloc_atomic(size, 40 + t);
+            p->free_atomic(tmp);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  check("after concurrent churn");
+
+  // Compaction: thin the slots out, then relocate (tx alloc + free per
+  // move, aborted when a block lands back in its chunk) and reclaim.
+  std::vector<pk::ObjId*> refs;
+  for (int t = 0; t < kThreads; ++t)
+    for (int k = 0; k < kSlots; ++k) {
+      if (k % 2 == 0) p->free_atomic(&r->slot[t][k]);
+      refs.push_back(&r->slot[t][k]);
+    }
+  (void)pk::compact_pool(*p, refs);
+  check("after compact_pool");
+
+  // A run of an otherwise unused class, emptied and reclaimed.
+  std::vector<pk::ObjId> mid;
+  for (int i = 0; i < 3; ++i) mid.push_back(p->alloc_atomic(10000, 50));
+  for (const pk::ObjId o : mid) p->free_atomic(o);
+  EXPECT_GE(p->heap().reclaim_empty_runs(), 1u);
+  check("after reclaim_empty_runs");
+
+  // Grow, occupy chunks of the new span, then drain it and shrink back
+  // (the shrink reclaims the emptied runs itself).
+  p->resize(kBase + (16ull << 20));
+  std::vector<pk::ObjId> grown;
+  while (grown.size() < 8 ||
+         grown.back().off < kBase) {  // until one lands in the new span
+    grown.push_back(p->alloc_atomic(200u << 10, 60));
+    grown.push_back(p->alloc_atomic(3000, 61));
+  }
+  check("after grow");
+  for (pk::ObjId& o : grown) p->free_atomic(&o);
+  p->resize(kBase);
+  EXPECT_EQ(p->stats().heap.span_count, 1u);
+  check("after shrink");
 }
 
 // Sharded-allocator stress: concurrent atomic alloc/free and transactions
